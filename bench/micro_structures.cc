@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the core data structures the
 // experiment binaries rely on: slice stores, window functions, value
-// hashing, serde, and the bounded channel. Useful for spotting regressions
+// hashing, serde, and the SPSC ring. Useful for spotting regressions
 // below the experiment level.
 
 #include <benchmark/benchmark.h>
@@ -13,7 +13,6 @@
 
 #include "agg/slice_store.h"
 #include "common/flat_hash_map.h"
-#include "common/queue.h"
 #include "common/random.h"
 #include "common/serde.h"
 #include "common/spsc_ring.h"
@@ -152,21 +151,8 @@ void BM_RecordSerde(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordSerde);
 
-void BM_BoundedQueuePingPong(benchmark::State& state) {
-  BoundedQueue<int> q(1024);
-  size_t n = 0;
-  for (auto _ : state) {
-    q.Push(1);
-    benchmark::DoNotOptimize(q.Pop());
-    ++n;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(n));
-}
-BENCHMARK(BM_BoundedQueuePingPong);
-
 // Single-thread ping-pong on the lock-free ring: the floor for one
-// push+pop pair with no contention. Compare against
-// BM_BoundedQueuePingPong (mutex + condvar).
+// push+pop pair with no contention.
 void BM_SpscRingPingPong(benchmark::State& state) {
   SpscRing<int> ring(1024);
   int out = 0;
@@ -180,48 +166,6 @@ void BM_SpscRingPingPong(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(n));
 }
 BENCHMARK(BM_SpscRingPingPong);
-
-// Cross-thread throughput, mutex MPMC queue vs lock-free SPSC channel: the
-// timed loop pushes against a live consumer thread, so items/sec reflects
-// the full producer-side handoff cost (synchronization + backpressure).
-void BM_BoundedQueueThroughput(benchmark::State& state) {
-  BoundedQueue<int> q(1024);
-  std::atomic<uint64_t> consumed{0};
-  std::thread consumer([&] {
-    while (q.Pop().has_value()) {
-      consumed.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  size_t n = 0;
-  for (auto _ : state) {
-    q.Push(1);
-    ++n;
-  }
-  q.Close();
-  consumer.join();
-  state.SetItemsProcessed(static_cast<int64_t>(n));
-}
-BENCHMARK(BM_BoundedQueueThroughput)->UseRealTime();
-
-void BM_SpscChannelThroughput(benchmark::State& state) {
-  Doorbell bell;
-  SpscChannel<int> ch(1024, &bell);
-  std::atomic<uint64_t> consumed{0};
-  std::thread consumer([&] {
-    while (ch.Pop().has_value()) {
-      consumed.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  size_t n = 0;
-  for (auto _ : state) {
-    ch.Push(1);
-    ++n;
-  }
-  ch.Close();
-  consumer.join();
-  state.SetItemsProcessed(static_cast<int64_t>(n));
-}
-BENCHMARK(BM_SpscChannelThroughput)->UseRealTime();
 
 // The data plane's per-record claim: moving a small record through an
 // output buffer, an SPSC ring and back through batch recycling touches the

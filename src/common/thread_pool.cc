@@ -18,12 +18,12 @@ namespace {
 thread_local WorkStealingPool* tls_pool = nullptr;
 thread_local size_t tls_worker_index = 0;
 
-// Yields this many times while empty before parking (mirrors the
-// executor's idle_spin_budget philosophy: cheap wakeups beat latency).
+// Yields this many times while empty before parking: a short spin keeps
+// wake-up latency low, and parked workers cost nothing.
 constexpr int kIdleSpinBudget = 64;
 
 // Parked workers still wake at this cadence as a backstop against lost
-// wakeups -- the same contract Doorbell::Park honors.
+// wakeups.
 constexpr auto kParkBackstop = std::chrono::milliseconds(1);
 
 void SetCurrentThreadName(const std::string& name) {
@@ -40,11 +40,7 @@ void SetCurrentThreadName(const std::string& name) {
 WorkStealingPool::WorkStealingPool(Options options)
     : name_prefix_(options.thread_name_prefix) {
   size_t n = options.num_workers;
-  if (options.timer_only) {
-    n = 0;
-  } else if (n == 0) {
-    n = std::max(1u, std::thread::hardware_concurrency());
-  }
+  if (n == 0) n = std::max(1u, std::thread::hardware_concurrency());
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     workers_.emplace_back(std::make_unique<Worker>());
@@ -122,8 +118,7 @@ void WorkStealingPool::WakeOne() {
   if (num_parked_approx_.load(std::memory_order_seq_cst) == 0) return;
   {
     // Empty critical section: serializes with a worker between its "deques
-    // are empty" check and its park, so the notify below cannot be lost
-    // (same protocol as Doorbell::Ring).
+    // are empty" check and its park, so the notify below cannot be lost.
     MutexLock lock(&park_mu_);
   }
   counters_.wakeups.fetch_add(1, std::memory_order_relaxed);

@@ -68,11 +68,11 @@ struct SchedulerCounters {
 
 /// Fixed pool of worker threads executing Schedulable morsels: each worker
 /// owns a deque of ready tasks, steals from peers when its own is empty,
-/// and parks (1 ms timed backstop against lost wakeups, like Doorbell)
-/// when nothing is runnable anywhere. This is the engine's morsel-driven
-/// scheduler -- logical subtasks are multiplexed over a pool sized to the
-/// hardware instead of getting dedicated OS threads -- and also the one
-/// sanctioned home of raw std::thread (lint rule raw-thread).
+/// and parks (1 ms timed backstop against lost wakeups) when nothing is
+/// runnable anywhere. This is the engine's morsel-driven scheduler --
+/// logical subtasks are multiplexed over a pool sized to the hardware
+/// instead of getting dedicated OS threads -- and also the one sanctioned
+/// home of raw std::thread (lint rule raw-thread).
 ///
 /// A timer facility (one lazily started thread shared by all periodic
 /// callbacks) replaces ad-hoc sleeper threads: checkpoint cadence and
@@ -80,12 +80,8 @@ struct SchedulerCounters {
 class WorkStealingPool {
  public:
   struct Options {
-    /// Worker count; 0 means std::thread::hardware_concurrency(). A pool
-    /// with `timer_only = true` starts no workers at all and only serves
-    /// ScheduleRepeating (legacy thread-per-task jobs use this for their
-    /// checkpoint cadence).
+    /// Worker count; 0 means std::thread::hardware_concurrency().
     size_t num_workers = 0;
-    bool timer_only = false;
     /// Worker thread names become "<prefix><index>" (pthread_setname_np,
     /// 15-char limit); keep the prefix short.
     std::string thread_name_prefix = "sl-work";

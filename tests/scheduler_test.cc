@@ -1,9 +1,10 @@
-// Tests for the morsel-driven work-stealing scheduler: pool-level behavior
-// (stealing, park/unpark, notify coalescing, shutdown with queued morsels,
-// timers), job-level integration (exact thread count, barrier alignment
-// with fewer workers than tasks -- the starvation regression), and
-// byte-identical equivalence between scheduler mode and the legacy
-// thread-per-task baseline, including across checkpoint/restore.
+// Tests for the morsel-driven work-stealing scheduler, the engine's only
+// execution mode: pool-level behavior (stealing, park/unpark, notify
+// coalescing, shutdown with queued morsels, timers), job-level integration
+// (exact thread count, barrier alignment with fewer workers than tasks --
+// the starvation regression), and job output checked against plain-C++
+// oracles computed from the test input, swept over worker count and
+// channel capacity, including across checkpoint/restore.
 
 #include "common/thread_pool.h"
 
@@ -15,6 +16,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <random>
 #include <thread>
@@ -201,9 +203,8 @@ TEST(SchedulerPoolTest, ShutdownDropsQueuedMorselsCleanly) {
 
 TEST(SchedulerPoolTest, RepeatingTimerFiresUntilCancelled) {
   WorkStealingPool::Options opts;
-  opts.timer_only = true;
+  opts.num_workers = 1;
   WorkStealingPool pool(opts);
-  EXPECT_EQ(pool.num_workers(), 0u);
 
   std::atomic<uint64_t> ticks{0};
   const uint64_t id = pool.ScheduleRepeating(1, [&] { ticks.fetch_add(1); });
@@ -235,9 +236,16 @@ Record KeyedValue(uint64_t i) {
 }
 
 TEST(SchedulerJobTest, PoolSizeBoundsOsThreads) {
-  // Parallelism 8 in thread-per-task mode would spawn a thread per
-  // subtask; the scheduler must spawn exactly worker_threads workers plus
-  // the shared timer thread, regardless of task count.
+  // The scheduler must spawn exactly worker_threads workers plus the
+  // shared timer thread, regardless of task count. The baseline is taken
+  // after one thread has come and gone: ThreadSanitizer's runtime starts a
+  // helper thread on the process's first thread creation, which would
+  // otherwise be counted against the pool.
+  {
+    WorkStealingPool::Options warm;
+    warm.num_workers = 1;
+    WorkStealingPool(warm).Shutdown();
+  }
   const size_t baseline = OsThreadCount();
 
   std::atomic<bool> stop{false};
@@ -260,7 +268,6 @@ TEST(SchedulerJobTest, PoolSizeBoundsOsThreads) {
                   .Collect();
 
   JobOptions options;
-  options.execution_mode = JobOptions::ExecutionMode::kScheduler;
   options.worker_threads = 2;
   auto job = env.CreateJob(options);
   ASSERT_TRUE(job.ok()) << job.status().ToString();
@@ -305,7 +312,6 @@ TEST(SchedulerJobTest, BarriersCompleteWithOneWorkerManyTasks) {
                   .Collect();
 
   JobOptions options;
-  options.execution_mode = JobOptions::ExecutionMode::kScheduler;
   options.worker_threads = 1;
   options.snapshot_store = std::make_shared<SnapshotStore>();
   auto job = env.CreateJob(options);
@@ -353,7 +359,6 @@ TEST(SchedulerJobTest, PeriodicCheckpointsCompleteUnderScheduler) {
                   .Collect();
 
   JobOptions options;
-  options.execution_mode = JobOptions::ExecutionMode::kScheduler;
   options.worker_threads = 1;
   options.checkpoint_interval_ms = 2;
   options.snapshot_store = std::make_shared<SnapshotStore>();
@@ -369,7 +374,18 @@ TEST(SchedulerJobTest, PeriodicCheckpointsCompleteUnderScheduler) {
 }
 
 // ---------------------------------------------------------------------------
-// Mode equivalence: scheduler vs thread-per-task, byte-identical output.
+// Equivalence against plain-C++ oracles: each pipeline's expected output is
+// computed directly from its test input, with no second engine run, and
+// every point of the sweep must reproduce it. Capacity 2 keeps the rings
+// full, forcing the overflow-stash backpressure path.
+
+constexpr size_t kWorkerSweep[] = {1, 2, 4};
+constexpr size_t kCapacitySweep[] = {2, 256};
+
+std::string SweepLabel(size_t workers, size_t capacity) {
+  return "workers=" + std::to_string(workers) +
+         " capacity=" + std::to_string(capacity);
+}
 
 std::vector<Record> TestInput(size_t n, uint32_t seed, int64_t num_keys) {
   std::mt19937 rng(seed);
@@ -381,6 +397,28 @@ std::vector<Record> TestInput(size_t n, uint32_t seed, int64_t num_keys) {
     records.push_back(MakeRecord(static_cast<Timestamp>(i), Value(key),
                                  Value(val)));
   }
+  return records;
+}
+
+// Oracle of a keyed running-sum Reduce over (ts, key, value) records: each
+// input emits its key's sum so far, stamped with the input's event time.
+std::vector<Record> RunningSums(const std::vector<Record>& input) {
+  std::map<int64_t, int64_t> sums;
+  std::vector<Record> out;
+  out.reserve(input.size());
+  for (const Record& r : input) {
+    const int64_t key = r.field(0).AsInt64();
+    const int64_t sum = sums[key] += r.field(1).AsInt64();
+    out.push_back(MakeRecord(r.timestamp, Value(key), Value(sum)));
+  }
+  return out;
+}
+
+std::vector<Record> SortedByText(std::vector<Record> records) {
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) {
+              return a.ToString() < b.ToString();
+            });
   return records;
 }
 
@@ -396,6 +434,8 @@ std::vector<Record> RunWithOptions(const PipelineFn& build,
   return sink->records();
 }
 
+// Compares event time and field values. key_hash is routing metadata the
+// engine stamps at shuffles, not part of a record's value.
 void ExpectIdenticalOutput(const std::vector<Record>& want,
                            const std::vector<Record>& got,
                            const std::string& label) {
@@ -403,95 +443,104 @@ void ExpectIdenticalOutput(const std::vector<Record>& want,
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(want[i].timestamp, got[i].timestamp) << "record " << i << " "
                                                    << label;
-    EXPECT_EQ(want[i].key_hash, got[i].key_hash) << "record " << i << " "
-                                                 << label;
     ASSERT_TRUE(want[i].fields == got[i].fields)
         << "record " << i << " " << label << "\n  want " << want[i].ToString()
         << "\n  got  " << got[i].ToString();
   }
 }
 
-// Baseline = thread-per-task; scheduler output must match byte for byte at
-// every worker count.
-void ExpectModeInvariant(const PipelineFn& build, int parallelism = 1) {
-  JobOptions baseline_options;
-  baseline_options.execution_mode = JobOptions::ExecutionMode::kThreadPerTask;
-  const std::vector<Record> baseline =
-      RunWithOptions(build, baseline_options, parallelism);
-  EXPECT_FALSE(baseline.empty());
-  for (size_t workers : {1u, 2u, 4u}) {
-    JobOptions options;
-    options.execution_mode = JobOptions::ExecutionMode::kScheduler;
-    options.worker_threads = workers;
-    ExpectIdenticalOutput(baseline, RunWithOptions(build, options, parallelism),
-                          "workers=" + std::to_string(workers));
+// Runs `build` at every sweep point; `sorted` compares as a multiset where
+// parallel subtasks interleave at the sink.
+void ExpectMatchesOracle(const PipelineFn& build,
+                         const std::vector<Record>& want, int parallelism = 1,
+                         bool sorted = false) {
+  ASSERT_FALSE(want.empty());
+  for (size_t workers : kWorkerSweep) {
+    for (size_t capacity : kCapacitySweep) {
+      JobOptions options;
+      options.worker_threads = workers;
+      options.channel_capacity = capacity;
+      std::vector<Record> got = RunWithOptions(build, options, parallelism);
+      if (sorted) got = SortedByText(std::move(got));
+      ExpectIdenticalOutput(want, got, SweepLabel(workers, capacity));
+    }
   }
 }
 
 TEST(SchedulerEquivalenceTest, MapFilterFlatMapChain) {
-  ExpectModeInvariant([](Environment& env) {
-    return env.FromRecords(TestInput(5'000, 21, 64))
-        .Map([](Record&& r) {
-          r.fields[1] = Value(r.field(1).AsInt64() * 3);
-          return std::move(r);
-        })
-        .Filter([](const Record& r) { return r.field(1).AsInt64() % 5 != 0; })
-        .FlatMap([](Record&& r, Collector* out) {
-          if (r.field(0).AsInt64() % 6 == 0) out->Emit(Record(r));
-          out->Emit(std::move(r));
-        })
-        .Collect();
-  });
+  const std::vector<Record> input = TestInput(5'000, 21, 64);
+  std::vector<Record> want;
+  for (Record r : input) {
+    r.fields[1] = Value(r.field(1).AsInt64() * 3);
+    if (r.field(1).AsInt64() % 5 == 0) continue;
+    if (r.field(0).AsInt64() % 6 == 0) want.push_back(r);
+    want.push_back(r);
+  }
+  ExpectMatchesOracle(
+      [&input](Environment& env) {
+        return env.FromRecords(input)
+            .Map([](Record&& r) {
+              r.fields[1] = Value(r.field(1).AsInt64() * 3);
+              return std::move(r);
+            })
+            .Filter(
+                [](const Record& r) { return r.field(1).AsInt64() % 5 != 0; })
+            .FlatMap([](Record&& r, Collector* out) {
+              if (r.field(0).AsInt64() % 6 == 0) out->Emit(Record(r));
+              out->Emit(std::move(r));
+            })
+            .Collect();
+      },
+      want);
 }
 
 TEST(SchedulerEquivalenceTest, KeyedReduceOverHashEdge) {
-  ExpectModeInvariant([](Environment& env) {
-    return env.FromRecords(TestInput(5'000, 22, 32))
-        .KeyBy(0)
-        .Reduce([](const Record& acc, const Record& next) {
-          return MakeRecord(acc.timestamp, acc.field(0),
-                            Value(acc.field(1).AsInt64() +
-                                  next.field(1).AsInt64()));
-        })
-        .Collect();
-  });
+  const std::vector<Record> input = TestInput(5'000, 22, 32);
+  ExpectMatchesOracle(
+      [&input](Environment& env) {
+        return env.FromRecords(input)
+            .KeyBy(0)
+            .Reduce([](const Record& acc, const Record& next) {
+              return MakeRecord(acc.timestamp, acc.field(0),
+                                Value(acc.field(1).AsInt64() +
+                                      next.field(1).AsInt64()));
+            })
+            .Collect();
+      },
+      RunningSums(input));
 }
 
 TEST(SchedulerEquivalenceTest, ParallelWindowedAggregate) {
   // Keyed subtasks run at parallelism 4 and their outputs interleave at
-  // the rebalanced sink, so compare as a sorted multiset; the per-key
-  // window sums themselves must be identical across modes.
-  const PipelineFn build = [](Environment& env) {
-    DataStream left = env.FromRecords(TestInput(2'000, 23, 16), "left");
-    DataStream right = env.FromRecords(TestInput(2'000, 24, 16), "right");
-    return left.Union(right)
-        .KeyBy(0)
-        .Window(std::make_shared<TumblingWindowFn>(1'000'000))
-        .Aggregate(DynAggKind::kSum, 1)
-        .Rebalance(1)
-        .Collect();
-  };
-  const auto normalize = [](std::vector<Record> records) {
-    std::sort(records.begin(), records.end(),
-              [](const Record& a, const Record& b) {
-                return a.ToString() < b.ToString();
-              });
-    return records;
-  };
-
-  JobOptions baseline_options;
-  baseline_options.execution_mode = JobOptions::ExecutionMode::kThreadPerTask;
-  const std::vector<Record> baseline =
-      normalize(RunWithOptions(build, baseline_options, 4));
-  EXPECT_FALSE(baseline.empty());
-  for (size_t workers : {1u, 2u, 4u}) {
-    JobOptions options;
-    options.execution_mode = JobOptions::ExecutionMode::kScheduler;
-    options.worker_threads = workers;
-    ExpectIdenticalOutput(baseline,
-                          normalize(RunWithOptions(build, options, 4)),
-                          "workers=" + std::to_string(workers));
+  // the rebalanced sink, so compare as a sorted multiset. Every timestamp
+  // falls into the first window, so each key emits exactly one sum.
+  static constexpr Timestamp kWindow = 1'000'000;
+  const std::vector<Record> left = TestInput(2'000, 23, 16);
+  const std::vector<Record> right = TestInput(2'000, 24, 16);
+  std::map<int64_t, double> sums;
+  for (const std::vector<Record>* side : {&left, &right}) {
+    for (const Record& r : *side) {
+      sums[r.field(0).AsInt64()] += static_cast<double>(r.field(1).AsInt64());
+    }
   }
+  std::vector<Record> want;
+  for (const auto& [key, sum] : sums) {
+    // Window results are (key, window start, window end, query, value),
+    // stamped with the window's last timestamp.
+    want.push_back(MakeRecord(kWindow - 1, Value(key), Value(Timestamp{0}),
+                              Value(kWindow), Value(int64_t{0}), Value(sum)));
+  }
+  ExpectMatchesOracle(
+      [&left, &right](Environment& env) {
+        return env.FromRecords(left, "left")
+            .Union(env.FromRecords(right, "right"))
+            .KeyBy(0)
+            .Window(std::make_shared<TumblingWindowFn>(kWindow))
+            .Aggregate(DynAggKind::kSum, 1)
+            .Rebalance(1)
+            .Collect();
+      },
+      SortedByText(std::move(want)), /*parallelism=*/4, /*sorted=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -566,12 +615,13 @@ std::shared_ptr<CollectSink> BuildGatedReduce(Environment* env, Gate* gate,
       .Collect();
 }
 
-// Runs the gated pipeline in `mode`: checkpoint at kCut, keep emitting,
-// "crash" (cancel), then restore a second job from the checkpoint and run
-// to completion. Returns pre-barrier outputs + restored-run outputs.
-std::vector<Record> RunWithCrashAndRestore(
-    JobOptions::ExecutionMode mode, size_t workers) {
-  constexpr uint64_t kTotal = 400;
+constexpr uint64_t kGatedTotal = 400;
+
+// Runs the gated pipeline: checkpoint at kCut, keep emitting, "crash"
+// (cancel), then restore a second job from the checkpoint and run to
+// completion. Returns pre-barrier outputs + restored-run outputs.
+std::vector<Record> RunWithCrashAndRestore(size_t workers, size_t capacity) {
+  constexpr uint64_t kTotal = kGatedTotal;
   constexpr uint64_t kCut = 150;
   auto store = std::make_shared<SnapshotStore>();
   uint64_t cp = 0;
@@ -582,8 +632,8 @@ std::vector<Record> RunWithCrashAndRestore(
     Environment env;
     auto sink = BuildGatedReduce(&env, &gate, kTotal);
     JobOptions options;
-    options.execution_mode = mode;
     options.worker_threads = workers;
+    options.channel_capacity = capacity;
     options.snapshot_store = store;
     auto job = env.CreateJob(options);
     EXPECT_TRUE(job.ok());
@@ -608,8 +658,8 @@ std::vector<Record> RunWithCrashAndRestore(
     Environment env;
     auto sink = BuildGatedReduce(&env, &gate, kTotal);
     JobOptions options;
-    options.execution_mode = mode;
     options.worker_threads = workers;
+    options.channel_capacity = capacity;
     options.snapshot_store = store;
     options.restore_from_checkpoint = cp;
     auto job = env.CreateJob(options);
@@ -622,31 +672,15 @@ std::vector<Record> RunWithCrashAndRestore(
   return combined;
 }
 
-TEST(SchedulerEquivalenceTest, CheckpointRestartMatchesAcrossModes) {
-  // Reference: uninterrupted thread-per-task run.
-  std::vector<Record> reference;
-  {
-    Gate gate;
-    gate.Allow(400);
-    Environment env;
-    auto sink = BuildGatedReduce(&env, &gate, 400);
-    JobOptions options;
-    options.execution_mode = JobOptions::ExecutionMode::kThreadPerTask;
-    ASSERT_TRUE(env.Execute(options).ok());
-    reference = sink->records();
-    ASSERT_EQ(reference.size(), 400u);
-  }
-
-  const std::vector<Record> legacy = RunWithCrashAndRestore(
-      JobOptions::ExecutionMode::kThreadPerTask, 0);
-  ExpectIdenticalOutput(reference, legacy, "thread-per-task crash+restore");
-
-  for (size_t workers : {1u, 2u}) {
-    const std::vector<Record> sched = RunWithCrashAndRestore(
-        JobOptions::ExecutionMode::kScheduler, workers);
-    ExpectIdenticalOutput(reference, sched,
-                          "scheduler crash+restore workers=" +
-                              std::to_string(workers));
+TEST(SchedulerEquivalenceTest, CheckpointRestartMatchesOracle) {
+  std::vector<Record> input;
+  for (uint64_t i = 0; i < kGatedTotal; ++i) input.push_back(KeyedValue(i));
+  const std::vector<Record> want = RunningSums(input);
+  for (size_t workers : kWorkerSweep) {
+    for (size_t capacity : kCapacitySweep) {
+      ExpectIdenticalOutput(want, RunWithCrashAndRestore(workers, capacity),
+                            "crash+restore " + SweepLabel(workers, capacity));
+    }
   }
 }
 

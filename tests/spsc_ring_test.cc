@@ -2,12 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace streamline {
 namespace {
@@ -108,144 +105,6 @@ TEST(SpscRingTest, ThreadedFifoStress) {
   }
   producer.join();
   EXPECT_TRUE(ring.Empty());
-}
-
-// --- SpscChannel: the blocking protocol over the ring ----------------------
-
-TEST(SpscChannelTest, PushPopFifo) {
-  SpscChannel<int> ch(4);
-  EXPECT_TRUE(ch.Push(1));
-  EXPECT_TRUE(ch.Push(2));
-  EXPECT_EQ(ch.Pop().value(), 1);
-  EXPECT_EQ(ch.Pop().value(), 2);
-}
-
-TEST(SpscChannelTest, CloseDrainsThenEnds) {
-  SpscChannel<int> ch(4);
-  ch.Push(1);
-  ch.Push(2);
-  ch.Close();
-  EXPECT_FALSE(ch.Push(3));  // rejected after close
-  EXPECT_EQ(ch.Pop().value(), 1);
-  EXPECT_EQ(ch.Pop().value(), 2);
-  EXPECT_FALSE(ch.Pop().has_value());  // drained -> end of channel
-}
-
-TEST(SpscChannelTest, BlockedProducerWakesOnPop) {
-  SpscChannel<int> ch(2);
-  ASSERT_TRUE(ch.Push(1));
-  ASSERT_TRUE(ch.Push(2));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    ch.Push(3);  // blocks: channel is full
-    pushed.store(true);
-  });
-  // The producer must be blocked until the consumer makes room.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());
-  EXPECT_EQ(ch.Pop().value(), 1);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(ch.Pop().value(), 2);
-  EXPECT_EQ(ch.Pop().value(), 3);
-}
-
-TEST(SpscChannelTest, BlockedProducerWakesOnClose) {
-  SpscChannel<int> ch(1);
-  ASSERT_TRUE(ch.Push(1));
-  std::atomic<bool> returned{false};
-  std::thread producer([&] {
-    EXPECT_FALSE(ch.Push(2));  // blocks, then rejected by close
-    returned.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(returned.load());
-  ch.Close();
-  producer.join();
-  EXPECT_TRUE(returned.load());
-}
-
-TEST(SpscChannelTest, ConsumerParksOnDoorbellUntilPush) {
-  Doorbell bell;
-  SpscChannel<int> ch(4, &bell);
-  std::optional<int> got;
-  std::thread consumer([&] { got = ch.Pop(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ch.Push(42);
-  consumer.join();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, 42);
-}
-
-TEST(SpscChannelTest, ThreadedTransferDeliversEverythingOnce) {
-  constexpr int kItems = 100'000;
-  Doorbell bell;
-  SpscChannel<int> ch(32, &bell);
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(ch.Push(int{i}));
-    ch.Close();
-  });
-  int expected = 0;
-  while (auto v = ch.Pop()) {
-    ASSERT_EQ(*v, expected);
-    ++expected;
-  }
-  producer.join();
-  EXPECT_EQ(expected, kItems);
-}
-
-// One consumer multiplexing several producer channels through a shared
-// doorbell -- the executor's input topology.
-TEST(SpscChannelTest, MultiplexedChannelsOneDoorbell) {
-  constexpr int kProducers = 4;
-  constexpr int kItemsEach = 20'000;
-  Doorbell bell;
-  std::vector<std::unique_ptr<SpscChannel<int>>> channels;
-  for (int p = 0; p < kProducers; ++p) {
-    channels.push_back(std::make_unique<SpscChannel<int>>(16, &bell));
-  }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kItemsEach; ++i) {
-        ASSERT_TRUE(channels[p]->Push(int{p}));
-      }
-      channels[p]->Close();
-    });
-  }
-  std::vector<int> counts(kProducers, 0);
-  int open = kProducers;
-  std::vector<bool> live(kProducers, true);
-  while (open > 0) {
-    bool progress = false;
-    for (int p = 0; p < kProducers; ++p) {
-      if (!live[p]) continue;
-      int v = 0;
-      if (channels[p]->TryPop(&v)) {
-        ASSERT_EQ(v, p);
-        ++counts[p];
-        progress = true;
-      } else if (channels[p]->closed() && channels[p]->Empty()) {
-        int drain = 0;
-        while (channels[p]->TryPop(&drain)) ++counts[p];
-        live[p] = false;
-        --open;
-        progress = true;
-      }
-    }
-    if (!progress) {
-      bell.Park([&] {
-        for (int p = 0; p < kProducers; ++p) {
-          if (live[p] && (!channels[p]->Empty() || channels[p]->closed())) {
-            return true;
-          }
-        }
-        return false;
-      });
-    }
-  }
-  for (std::thread& t : producers) t.join();
-  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(counts[p], kItemsEach);
 }
 
 }  // namespace
