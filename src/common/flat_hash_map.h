@@ -176,6 +176,10 @@ class FlatHashMap {
     }
   }
 
+  /// The cached hash of the entry at dense position `index` (what the
+  /// entry was inserted under), so sweeps never rehash a key.
+  uint64_t hash_at(size_t index) const { return hashes_[index]; }
+
   // --- observability (exported as gauges by the keyed operators) ----------
 
   /// Live entries over slot capacity (0 when never inserted into).

@@ -10,34 +10,8 @@ namespace streamline {
 // ---------------------------------------------------------------------------
 // KeyedReduceOperator
 
-namespace {
-
-/// Binds the keyed-state gauges for one operator subtask (no-ops when the
-/// job exposes no registry).
-struct StateGauges {
-  static void Bind(const OperatorContext& ctx, const std::string& name,
-                   Gauge** load, Gauge** probe, Gauge** keys) {
-    if (ctx.metrics == nullptr) return;
-    const std::string prefix =
-        "op." + name + "." + std::to_string(ctx.subtask_index) + ".state.";
-    *load = ctx.metrics->GetGauge(prefix + "load_factor");
-    *probe = ctx.metrics->GetGauge(prefix + "max_probe");
-    *keys = ctx.metrics->GetGauge(prefix + "keys");
-  }
-
-  template <typename Map>
-  static void Update(const Map& m, Gauge* load, Gauge* probe, Gauge* keys) {
-    if (load == nullptr) return;
-    load->Set(m.load_factor());
-    probe->Set(static_cast<double>(m.max_probe_length()));
-    keys->Set(static_cast<double>(m.size()));
-  }
-};
-
-}  // namespace
-
 Status KeyedReduceOperator::Open(const OperatorContext& ctx) {
-  StateGauges::Bind(ctx, name_, &load_gauge_, &probe_gauge_, &keys_gauge_);
+  state_.BindGauges(ctx);
   return Status::Ok();
 }
 
@@ -48,8 +22,7 @@ void KeyedReduceOperator::ProcessRecord(int, Record&& record,
   const Value key = key_(record);
   const uint64_t hash =
       record.has_key_hash() ? record.key_hash : KeyHashOf(key);
-  changelog_.Upsert(key, hash);
-  auto [entry, inserted] = state_.TryEmplace(hash, key, std::move(record));
+  auto [entry, inserted] = state_.Emplace(key, hash, std::move(record));
   if (!inserted) {
     Record reduced = reduce_(entry->second, record);
     reduced.timestamp = std::max(entry->second.timestamp, record.timestamp);
@@ -81,7 +54,6 @@ void KeyedReduceOperator::ProcessBatch(int, std::vector<Record>&& batch,
     const Value key = key_(record);
     const uint64_t hash =
         record.has_key_hash() ? record.key_hash : KeyHashOf(key);
-    changelog_.Upsert(key, hash);
     std::pair<Value, Record>* entry = nullptr;
     size_t slot = hash & mask;
     for (;;) {
@@ -89,7 +61,7 @@ void KeyedReduceOperator::ProcessBatch(int, std::vector<Record>&& batch,
       if (s.gen != cache_gen_) {
         // First time this key is seen in the batch: one real map probe,
         // then memoize the dense entry index (stable -- no erases here).
-        auto [e, inserted] = state_.TryEmplace(hash, key, std::move(record));
+        auto [e, inserted] = state_.Emplace(key, hash, std::move(record));
         s = CacheSlot{hash, static_cast<uint32_t>(e - state_.begin()),
                       cache_gen_};
         if (inserted) {
@@ -103,6 +75,7 @@ void KeyedReduceOperator::ProcessBatch(int, std::vector<Record>&& batch,
       // Verify the key on a hash match: distinct keys can share a hash.
       if (s.hash == hash && state_.begin()[s.index].first == key) {
         entry = state_.begin() + s.index;
+        state_.Touch(key, hash);
         break;
       }
       slot = (slot + 1) & mask;
@@ -119,76 +92,7 @@ void KeyedReduceOperator::ProcessBatch(int, std::vector<Record>&& batch,
 }
 
 void KeyedReduceOperator::ProcessWatermark(Timestamp, Collector*) {
-  StateGauges::Update(state_, load_gauge_, probe_gauge_, keys_gauge_);
-}
-
-Status KeyedReduceOperator::SnapshotState(BinaryWriter* w) const {
-  w->WriteU64(state_.size());
-  for (const auto& [key, record] : state_) {
-    w->WriteValue(key);
-    w->WriteRecord(record);
-  }
-  return Status::Ok();
-}
-
-Status KeyedReduceOperator::RestoreState(BinaryReader* r) {
-  auto n = r->ReadU64();
-  if (!n.ok()) return n.status();
-  state_.clear();
-  state_.Reserve(*n);
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto key = r->ReadValue();
-    if (!key.ok()) return key.status();
-    auto record = r->ReadRecord();
-    if (!record.ok()) return record.status();
-    state_.TryEmplace(KeyHashOf(*key), *key, std::move(*record));
-  }
-  return Status::Ok();
-}
-
-Status KeyedReduceOperator::SnapshotDelta(ChangelogSink* sink) {
-  for (const KeyedChangelog::Event& ev : changelog_.events()) {
-    BinaryWriter w;
-    if (ev.op == KeyedChangelog::Op::kErase) {
-      w.WriteU8(kDeltaEraseTag);
-      w.WriteValue(ev.key);
-    } else {
-      w.WriteU8(kDeltaUpsertTag);
-      w.WriteValue(ev.key);
-      const Record* rec = state_.Find(ev.hash, ev.key);
-      w.WriteU8(rec != nullptr ? 1 : 0);
-      if (rec != nullptr) w.WriteRecord(*rec);
-    }
-    STREAMLINE_RETURN_IF_ERROR(sink->Append(w.Release()));
-  }
-  changelog_.Clear();
-  return Status::Ok();
-}
-
-Status KeyedReduceOperator::ApplyDelta(BinaryReader* r) {
-  auto tag = r->ReadU8();
-  if (!tag.ok()) return tag.status();
-  auto key = r->ReadValue();
-  if (!key.ok()) return key.status();
-  const uint64_t hash = KeyHashOf(*key);
-  if (*tag == kDeltaEraseTag) {
-    state_.Erase(hash, *key);
-    return Status::Ok();
-  }
-  if (*tag != kDeltaUpsertTag) {
-    return Status::Internal("bad changelog tag " + std::to_string(*tag) +
-                            " in '" + name_ + "'");
-  }
-  auto present = r->ReadU8();
-  if (!present.ok()) return present.status();
-  auto [entry, inserted] = state_.TryEmplace(hash, *key);
-  (void)inserted;
-  if (*present != 0) {
-    auto rec = r->ReadRecord();
-    if (!rec.ok()) return rec.status();
-    entry->second = std::move(*rec);
-  }
-  return Status::Ok();
+  state_.UpdateGauges();
 }
 
 // ---------------------------------------------------------------------------
@@ -202,12 +106,13 @@ IntervalJoinOperator::IntervalJoinOperator(std::string name,
       left_key_(std::move(left_key)),
       right_key_(std::move(right_key)),
       lower_(lower),
-      upper_(upper) {
+      upper_(upper),
+      state_(name_, KeyBuffersCodec{}) {
   STREAMLINE_CHECK_LE(lower_, upper_);
 }
 
 Status IntervalJoinOperator::Open(const OperatorContext& ctx) {
-  StateGauges::Bind(ctx, name_, &load_gauge_, &probe_gauge_, &keys_gauge_);
+  state_.BindGauges(ctx);
   return Status::Ok();
 }
 
@@ -227,8 +132,7 @@ void IntervalJoinOperator::ProcessRecord(int input, Record&& record,
     const Value key = left_key_(record);
     const uint64_t hash =
         record.has_key_hash() ? record.key_hash : KeyHashOf(key);
-    changelog_.Upsert(key, hash);
-    KeyBuffers& buf = state_.TryEmplace(hash, key).first->second;
+    KeyBuffers& buf = state_.Emplace(key, hash).first->second;
     // Match against buffered right records: r.ts - l.ts in [lower, upper].
     for (const Record& r : buf.right) {
       const Duration d = r.timestamp - record.timestamp;
@@ -239,8 +143,7 @@ void IntervalJoinOperator::ProcessRecord(int input, Record&& record,
     const Value key = right_key_(record);
     const uint64_t hash =
         record.has_key_hash() ? record.key_hash : KeyHashOf(key);
-    changelog_.Upsert(key, hash);
-    KeyBuffers& buf = state_.TryEmplace(hash, key).first->second;
+    KeyBuffers& buf = state_.Emplace(key, hash).first->second;
     for (const Record& l : buf.left) {
       const Duration d = record.timestamp - l.timestamp;
       if (d >= lower_ && d <= upper_) EmitJoined(l, record, out);
@@ -266,120 +169,33 @@ void IntervalJoinOperator::ProcessWatermark(Timestamp wm, Collector*) {
       buf.right.pop_front();
     }
     if (wm == kMaxTimestamp || (buf.left.empty() && buf.right.empty())) {
-      // Changelog events mirror the structural op sequence: the erase is
-      // recorded at the position it happens, in iteration order.
-      if (changelog_.enabled()) {
-        changelog_.Erase(it->first, KeyHashOf(it->first));
-      }
       it = state_.Erase(it);
     } else {
-      if (changelog_.enabled() &&
-          buf.left.size() + buf.right.size() != before) {
-        changelog_.Upsert(it->first, KeyHashOf(it->first));
-      }
+      if (buf.left.size() + buf.right.size() != before) state_.Touch(*it);
       ++it;
     }
   }
-  StateGauges::Update(state_, load_gauge_, probe_gauge_, keys_gauge_);
+  state_.UpdateGauges();
 }
 
-Status IntervalJoinOperator::SnapshotState(BinaryWriter* w) const {
-  w->WriteU64(state_.size());
-  for (const auto& [key, buf] : state_) {
-    w->WriteValue(key);
-    w->WriteU64(buf.left.size());
-    for (const Record& r : buf.left) w->WriteRecord(r);
-    w->WriteU64(buf.right.size());
-    for (const Record& r : buf.right) w->WriteRecord(r);
-  }
-  return Status::Ok();
+void IntervalJoinOperator::KeyBuffersCodec::Write(const KeyBuffers& buf,
+                                                  BinaryWriter* w) const {
+  w->WriteU64(buf.left.size());
+  for (const Record& rec : buf.left) w->WriteRecord(rec);
+  w->WriteU64(buf.right.size());
+  for (const Record& rec : buf.right) w->WriteRecord(rec);
 }
 
-Status IntervalJoinOperator::RestoreState(BinaryReader* r) {
-  auto n = r->ReadU64();
-  if (!n.ok()) return n.status();
-  state_.clear();
-  state_.Reserve(*n);
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto key = r->ReadValue();
-    if (!key.ok()) return key.status();
-    KeyBuffers buf;
-    auto nl = r->ReadU64();
-    if (!nl.ok()) return nl.status();
-    for (uint64_t k = 0; k < *nl; ++k) {
+Status IntervalJoinOperator::KeyBuffersCodec::Read(KeyBuffers* buf,
+                                                   BinaryReader* r) const {
+  for (std::deque<Record>* side : {&buf->left, &buf->right}) {
+    side->clear();
+    auto n = r->ReadU64();
+    if (!n.ok()) return n.status();
+    for (uint64_t k = 0; k < *n; ++k) {
       auto rec = r->ReadRecord();
       if (!rec.ok()) return rec.status();
-      buf.left.push_back(std::move(*rec));
-    }
-    auto nr = r->ReadU64();
-    if (!nr.ok()) return nr.status();
-    for (uint64_t k = 0; k < *nr; ++k) {
-      auto rec = r->ReadRecord();
-      if (!rec.ok()) return rec.status();
-      buf.right.push_back(std::move(*rec));
-    }
-    state_.TryEmplace(KeyHashOf(*key), *key, std::move(buf));
-  }
-  return Status::Ok();
-}
-
-Status IntervalJoinOperator::SnapshotDelta(ChangelogSink* sink) {
-  for (const KeyedChangelog::Event& ev : changelog_.events()) {
-    BinaryWriter w;
-    if (ev.op == KeyedChangelog::Op::kErase) {
-      w.WriteU8(kDeltaEraseTag);
-      w.WriteValue(ev.key);
-    } else {
-      w.WriteU8(kDeltaUpsertTag);
-      w.WriteValue(ev.key);
-      const KeyBuffers* buf = state_.Find(ev.hash, ev.key);
-      w.WriteU8(buf != nullptr ? 1 : 0);
-      if (buf != nullptr) {
-        w.WriteU64(buf->left.size());
-        for (const Record& rec : buf->left) w.WriteRecord(rec);
-        w.WriteU64(buf->right.size());
-        for (const Record& rec : buf->right) w.WriteRecord(rec);
-      }
-    }
-    STREAMLINE_RETURN_IF_ERROR(sink->Append(w.Release()));
-  }
-  changelog_.Clear();
-  return Status::Ok();
-}
-
-Status IntervalJoinOperator::ApplyDelta(BinaryReader* r) {
-  auto tag = r->ReadU8();
-  if (!tag.ok()) return tag.status();
-  auto key = r->ReadValue();
-  if (!key.ok()) return key.status();
-  const uint64_t hash = KeyHashOf(*key);
-  if (*tag == kDeltaEraseTag) {
-    state_.Erase(hash, *key);
-    return Status::Ok();
-  }
-  if (*tag != kDeltaUpsertTag) {
-    return Status::Internal("bad changelog tag " + std::to_string(*tag) +
-                            " in '" + name_ + "'");
-  }
-  auto present = r->ReadU8();
-  if (!present.ok()) return present.status();
-  KeyBuffers& buf = state_.TryEmplace(hash, *key).first->second;
-  buf.left.clear();
-  buf.right.clear();
-  if (*present != 0) {
-    auto nl = r->ReadU64();
-    if (!nl.ok()) return nl.status();
-    for (uint64_t k = 0; k < *nl; ++k) {
-      auto rec = r->ReadRecord();
-      if (!rec.ok()) return rec.status();
-      buf.left.push_back(std::move(*rec));
-    }
-    auto nr = r->ReadU64();
-    if (!nr.ok()) return nr.status();
-    for (uint64_t k = 0; k < *nr; ++k) {
-      auto rec = r->ReadRecord();
-      if (!rec.ok()) return rec.status();
-      buf.right.push_back(std::move(*rec));
+      side->push_back(std::move(*rec));
     }
   }
   return Status::Ok();

@@ -8,8 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_hash_map.h"
-#include "dataflow/changelog.h"
+#include "dataflow/keyed_state.h"
 #include "dataflow/operator.h"
 #include "dataflow/sink.h"
 
@@ -105,20 +104,26 @@ class KeyedReduceOperator : public Operator {
   using ReduceFn = std::function<Record(const Record&, const Record&)>;
   KeyedReduceOperator(std::string name, KeySelector key, ReduceFn reduce)
       : name_(std::move(name)), key_(std::move(key)),
-        reduce_(std::move(reduce)) {}
+        reduce_(std::move(reduce)), state_(name_, RecordCodec{}) {}
 
   Status Open(const OperatorContext& ctx) override;
   void ProcessRecord(int, Record&& record, Collector* out) override;
   void ProcessBatch(int, std::vector<Record>&& batch,
                     Collector* out) override;
   void ProcessWatermark(Timestamp wm, Collector* out) override;
-  Status SnapshotState(BinaryWriter* w) const override;
-  Status RestoreState(BinaryReader* r) override;
+  Status SnapshotState(BinaryWriter* w) const override {
+    return state_.SnapshotState(w);
+  }
+  Status RestoreState(BinaryReader* r) override {
+    return state_.RestoreState(r);
+  }
   bool SupportsIncrementalState() const override { return true; }
-  void EnableIncrementalState() override { changelog_.Enable(); }
-  Status SnapshotDelta(ChangelogSink* sink) override;
-  Status ApplyDelta(BinaryReader* r) override;
-  void ResetDelta() override { changelog_.Clear(); }
+  void EnableIncrementalState() override { state_.EnableIncremental(); }
+  Status SnapshotDelta(ChangelogSink* sink) override {
+    return state_.SnapshotDelta(sink);
+  }
+  Status ApplyDelta(BinaryReader* r) override { return state_.ApplyDelta(r); }
+  void ResetDelta() override { state_.ResetDelta(); }
   std::string Name() const override { return name_; }
 
   size_t num_keys() const { return state_.size(); }
@@ -127,8 +132,7 @@ class KeyedReduceOperator : public Operator {
   std::string name_;
   KeySelector key_;
   ReduceFn reduce_;
-  FlatHashMap<Value, Record> state_;
-  KeyedChangelog changelog_;
+  KeyedState<Record, RecordCodec> state_;
 
   // Per-batch key cache: open-addressed {key_hash -> dense entry index}
   // scratch table, generation-stamped so clearing between batches is O(1).
@@ -143,10 +147,6 @@ class KeyedReduceOperator : public Operator {
   std::vector<CacheSlot> cache_;
   uint32_t cache_gen_ = 0;
   std::vector<Record> batch_out_;
-
-  Gauge* load_gauge_ = nullptr;
-  Gauge* probe_gauge_ = nullptr;
-  Gauge* keys_gauge_ = nullptr;
 };
 
 /// Merges any number of inputs into one stream (the input ordinal is
@@ -180,13 +180,19 @@ class IntervalJoinOperator : public Operator {
   Status Open(const OperatorContext& ctx) override;
   void ProcessRecord(int input, Record&& record, Collector* out) override;
   void ProcessWatermark(Timestamp wm, Collector* out) override;
-  Status SnapshotState(BinaryWriter* w) const override;
-  Status RestoreState(BinaryReader* r) override;
+  Status SnapshotState(BinaryWriter* w) const override {
+    return state_.SnapshotState(w);
+  }
+  Status RestoreState(BinaryReader* r) override {
+    return state_.RestoreState(r);
+  }
   bool SupportsIncrementalState() const override { return true; }
-  void EnableIncrementalState() override { changelog_.Enable(); }
-  Status SnapshotDelta(ChangelogSink* sink) override;
-  Status ApplyDelta(BinaryReader* r) override;
-  void ResetDelta() override { changelog_.Clear(); }
+  void EnableIncrementalState() override { state_.EnableIncremental(); }
+  Status SnapshotDelta(ChangelogSink* sink) override {
+    return state_.SnapshotDelta(sink);
+  }
+  Status ApplyDelta(BinaryReader* r) override { return state_.ApplyDelta(r); }
+  void ResetDelta() override { state_.ResetDelta(); }
   std::string Name() const override { return name_; }
 
   size_t buffered() const;
@@ -196,6 +202,11 @@ class IntervalJoinOperator : public Operator {
     std::deque<Record> left;
     std::deque<Record> right;
   };
+  /// Per key: `u64 n` + n left records, then `u64 n` + n right records.
+  struct KeyBuffersCodec {
+    void Write(const KeyBuffers& buf, BinaryWriter* w) const;
+    Status Read(KeyBuffers* buf, BinaryReader* r) const;
+  };
 
   void EmitJoined(const Record& l, const Record& r, Collector* out) const;
 
@@ -204,11 +215,7 @@ class IntervalJoinOperator : public Operator {
   KeySelector right_key_;
   Duration lower_;
   Duration upper_;
-  FlatHashMap<Value, KeyBuffers> state_;
-  KeyedChangelog changelog_;
-  Gauge* load_gauge_ = nullptr;
-  Gauge* probe_gauge_ = nullptr;
-  Gauge* keys_gauge_ = nullptr;
+  KeyedState<KeyBuffers, KeyBuffersCodec> state_;
 };
 
 /// Adapts a SinkFunction to the operator interface.

@@ -5,27 +5,20 @@
 namespace streamline {
 
 TemporalJoinOperator::TemporalJoinOperator(std::string name, Spec spec)
-    : name_(std::move(name)), spec_(std::move(spec)) {
+    : name_(std::move(name)),
+      spec_(std::move(spec)),
+      table_(name_, RecordCodec{}) {
   STREAMLINE_CHECK(spec_.fact_key != nullptr);
   STREAMLINE_CHECK(spec_.table_key != nullptr);
 }
 
 Status TemporalJoinOperator::Open(const OperatorContext& ctx) {
-  if (ctx.metrics != nullptr) {
-    const std::string prefix = "op." + name_ + "." +
-                               std::to_string(ctx.subtask_index) + ".state.";
-    load_gauge_ = ctx.metrics->GetGauge(prefix + "load_factor");
-    probe_gauge_ = ctx.metrics->GetGauge(prefix + "max_probe");
-    keys_gauge_ = ctx.metrics->GetGauge(prefix + "keys");
-  }
+  table_.BindGauges(ctx);
   return Status::Ok();
 }
 
 void TemporalJoinOperator::ProcessWatermark(Timestamp, Collector*) {
-  if (load_gauge_ == nullptr) return;
-  load_gauge_->Set(table_.load_factor());
-  probe_gauge_->Set(static_cast<double>(table_.max_probe_length()));
-  keys_gauge_->Set(static_cast<double>(table_.size()));
+  table_.UpdateGauges();
 }
 
 void TemporalJoinOperator::ProcessRecord(int input, Record&& record,
@@ -35,8 +28,7 @@ void TemporalJoinOperator::ProcessRecord(int input, Record&& record,
     const Value key = spec_.table_key(record);
     const uint64_t hash =
         record.has_key_hash() ? record.key_hash : KeyHashOf(key);
-    changelog_.Upsert(key, hash);
-    table_.TryEmplace(hash, key).first->second = std::move(record);
+    table_.Emplace(key, hash).first->second = std::move(record);
     return;
   }
   const Value key = spec_.fact_key(record);
@@ -56,66 +48,6 @@ void TemporalJoinOperator::ProcessRecord(int input, Record&& record,
   joined.fields.insert(joined.fields.end(), row->fields.begin(),
                        row->fields.end());
   out->Emit(std::move(joined));
-}
-
-Status TemporalJoinOperator::SnapshotState(BinaryWriter* w) const {
-  w->WriteU64(table_.size());
-  for (const auto& [key, row] : table_) {
-    w->WriteValue(key);
-    w->WriteRecord(row);
-  }
-  return Status::Ok();
-}
-
-Status TemporalJoinOperator::RestoreState(BinaryReader* r) {
-  auto n = r->ReadU64();
-  if (!n.ok()) return n.status();
-  table_.clear();
-  table_.Reserve(*n);
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto key = r->ReadValue();
-    if (!key.ok()) return key.status();
-    auto row = r->ReadRecord();
-    if (!row.ok()) return row.status();
-    table_.TryEmplace(KeyHashOf(*key), *key, std::move(*row));
-  }
-  return Status::Ok();
-}
-
-Status TemporalJoinOperator::SnapshotDelta(ChangelogSink* sink) {
-  // The dimension table only ever upserts, so every event carries a row.
-  for (const KeyedChangelog::Event& ev : changelog_.events()) {
-    BinaryWriter w;
-    w.WriteU8(kDeltaUpsertTag);
-    w.WriteValue(ev.key);
-    const Record* row = table_.Find(ev.hash, ev.key);
-    w.WriteU8(row != nullptr ? 1 : 0);
-    if (row != nullptr) w.WriteRecord(*row);
-    STREAMLINE_RETURN_IF_ERROR(sink->Append(w.Release()));
-  }
-  changelog_.Clear();
-  return Status::Ok();
-}
-
-Status TemporalJoinOperator::ApplyDelta(BinaryReader* r) {
-  auto tag = r->ReadU8();
-  if (!tag.ok()) return tag.status();
-  if (*tag != kDeltaUpsertTag) {
-    return Status::Internal("bad changelog tag " + std::to_string(*tag) +
-                            " in '" + name_ + "'");
-  }
-  auto key = r->ReadValue();
-  if (!key.ok()) return key.status();
-  auto present = r->ReadU8();
-  if (!present.ok()) return present.status();
-  auto [entry, inserted] = table_.TryEmplace(KeyHashOf(*key), *key);
-  (void)inserted;
-  if (*present != 0) {
-    auto row = r->ReadRecord();
-    if (!row.ok()) return row.status();
-    entry->second = std::move(*row);
-  }
-  return Status::Ok();
 }
 
 }  // namespace streamline

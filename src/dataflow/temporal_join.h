@@ -3,8 +3,7 @@
 
 #include <string>
 
-#include "common/flat_hash_map.h"
-#include "dataflow/changelog.h"
+#include "dataflow/keyed_state.h"
 #include "dataflow/operator.h"
 
 namespace streamline {
@@ -36,13 +35,20 @@ class TemporalJoinOperator : public Operator {
   Status Open(const OperatorContext& ctx) override;
   void ProcessRecord(int input, Record&& record, Collector* out) override;
   void ProcessWatermark(Timestamp wm, Collector* out) override;
-  Status SnapshotState(BinaryWriter* w) const override;
-  Status RestoreState(BinaryReader* r) override;
+  Status SnapshotState(BinaryWriter* w) const override {
+    return table_.SnapshotState(w);
+  }
+  Status RestoreState(BinaryReader* r) override {
+    return table_.RestoreState(r);
+  }
   bool SupportsIncrementalState() const override { return true; }
-  void EnableIncrementalState() override { changelog_.Enable(); }
-  Status SnapshotDelta(ChangelogSink* sink) override;
-  Status ApplyDelta(BinaryReader* r) override;
-  void ResetDelta() override { changelog_.Clear(); }
+  void EnableIncrementalState() override { table_.EnableIncremental(); }
+  /// The dimension table only ever upserts, so every record carries a row.
+  Status SnapshotDelta(ChangelogSink* sink) override {
+    return table_.SnapshotDelta(sink);
+  }
+  Status ApplyDelta(BinaryReader* r) override { return table_.ApplyDelta(r); }
+  void ResetDelta() override { table_.ResetDelta(); }
   std::string Name() const override { return name_; }
 
   size_t table_size() const { return table_.size(); }
@@ -50,11 +56,7 @@ class TemporalJoinOperator : public Operator {
  private:
   std::string name_;
   Spec spec_;
-  FlatHashMap<Value, Record> table_;
-  KeyedChangelog changelog_;
-  Gauge* load_gauge_ = nullptr;
-  Gauge* probe_gauge_ = nullptr;
-  Gauge* keys_gauge_ = nullptr;
+  KeyedState<Record, RecordCodec> table_;
 };
 
 }  // namespace streamline

@@ -26,7 +26,8 @@ Timestamp FloorToGrid(Timestamp ts, Timestamp origin, Duration step) {
 WindowAggOperator::WindowAggOperator(std::string name, WindowAggSpec spec)
     : name_(std::move(name)),
       spec_(std::move(spec)),
-      adapter_(spec_.agg_kind) {
+      adapter_(spec_.agg_kind),
+      keys_(name_, KeyCodec{this}) {
   STREAMLINE_CHECK(!spec_.windows.empty())
       << "WindowAggSpec needs at least one window definition";
 }
@@ -39,13 +40,7 @@ WindowAggOperator::~WindowAggOperator() {
 
 Status WindowAggOperator::Open(const OperatorContext& ctx) {
   subtask_index_ = ctx.subtask_index;
-  if (ctx.metrics != nullptr) {
-    const std::string prefix = "op." + name_ + "." +
-                               std::to_string(ctx.subtask_index) + ".state.";
-    load_gauge_ = ctx.metrics->GetGauge(prefix + "load_factor");
-    probe_gauge_ = ctx.metrics->GetGauge(prefix + "max_probe");
-    keys_gauge_ = ctx.metrics->GetGauge(prefix + "keys");
-  }
+  keys_.BindGauges(ctx);
   if (spec_.registry != nullptr) {
     if (spec_.backend != WindowBackend::kShared) {
       return Status::InvalidArgument(
@@ -70,16 +65,13 @@ Status WindowAggOperator::Open(const OperatorContext& ctx) {
   return Status::Ok();
 }
 
-WindowAggOperator::KeyState* WindowAggOperator::GetOrCreateKey(
-    const Value& key, uint64_t hash) {
-  auto [entry, inserted] = keys_.TryEmplace(hash, key);
-  KeyState* ks = &entry->second;
-  if (!inserted) return ks;
+void WindowAggOperator::InitKeyState(const Value& key, KeyState* ks) {
   if (spec_.backend == WindowBackend::kShared) {
     ks->shared = std::make_unique<SharedAgg>(adapter_);
     for (size_t q = 0; q < spec_.windows.size(); ++q) {
       // The callback captures the key by value; `current_out_` points at
       // the collector of the call currently on the stack.
+      // analyzer:allow(record-copy-in-hot-path): once per new key (watermark apply, restore, replay), never per record; the callback must own its key
       Value key_copy = key;
       ks->shared->AddQuery(
           spec_.windows[q]->Clone(),
@@ -87,7 +79,25 @@ WindowAggOperator::KeyState* WindowAggOperator::GetOrCreateKey(
             EmitResult(key_copy, query, w, v);
           });
     }
-    InitDynStateForKey(key, ks);
+    // A key created after queries attached runs them from the key's first
+    // element (the key has no earlier history to miss); detached entries
+    // still allocate their slot so the layout matches the table.
+    for (const DynQuery& dq : dyn_queries_) {
+      if (dq.placement == QueryPlacement::kShared) {
+        // analyzer:allow(record-copy-in-hot-path): once per new key (watermark apply, restore, replay), never per record; the callback must own its key
+        Value key_copy = key;
+        const uint64_t id = dq.id;
+        const size_t slot = ks->shared->AddQuery(
+            std::make_unique<SlidingWindowFn>(dq.desc.range, dq.desc.slide,
+                                              dq.desc.origin),
+            [this, key_copy, id](size_t, const Window& w, const Value& v) {
+              EmitResult(key_copy, id, w, v);
+            });
+        if (!dq.active) ks->shared->DetachQuery(slot);
+      } else {
+        ks->standalone.emplace_back();
+      }
+    }
   } else {
     for (const auto& proto : spec_.windows) {
       EagerQueryState qs;
@@ -100,7 +110,6 @@ WindowAggOperator::KeyState* WindowAggOperator::GetOrCreateKey(
       ks->eager.push_back(std::move(qs));
     }
   }
-  return ks;
 }
 
 void WindowAggOperator::EmitResult(const Value& key, size_t query,
@@ -304,8 +313,7 @@ void WindowAggOperator::ProcessWatermark(Timestamp wm, Collector* out) {
     Value key;
     uint64_t hash;
     resolve_key(record, &key, &hash);
-    KeyState* ks = GetOrCreateKey(key, hash);
-    changelog_.Upsert(key, hash);
+    KeyState* ks = &keys_.Emplace(key, hash).first->second;
     if (!can_batch) {
       ApplyElement(key, ks, record);
       ++applied;
@@ -347,22 +355,22 @@ void WindowAggOperator::ProcessWatermark(Timestamp wm, Collector* out) {
   // time progress even for keys with no new records. When the changelog is
   // on, a fingerprint comparison catches keys the watermark mutated (fired
   // windows, evicted slices) so the next delta re-serializes them.
-  for (auto& [key, ks] : keys_) {
-    if (!changelog_.enabled()) {
+  const bool incremental = keys_.incremental();
+  for (auto& entry : keys_) {
+    auto& [key, ks] = entry;
+    if (!incremental) {
       AdvanceKeyWatermark(key, &ks, wm);
       continue;
     }
     const std::array<uint64_t, 4> before = KeyFingerprint(ks);
     AdvanceKeyWatermark(key, &ks, wm);
-    if (KeyFingerprint(ks) != before) {
-      changelog_.Upsert(key, KeyHashOf(key));
-    }
+    if (KeyFingerprint(ks) != before) keys_.Touch(entry);
   }
   // Attach/detach commands apply here -- the end of a watermark is a
   // deterministic point of the event-time order, so every subtask (and any
   // checkpoint replay) splices queries in at the same place.
   DrainRegistryCommands();
-  UpdateStateGauges();
+  keys_.UpdateGauges();
   current_out_ = nullptr;
 }
 
@@ -389,8 +397,8 @@ void WindowAggOperator::DrainRegistryCommands() {
     }
     // A command changes every key's slot layout (and therefore its
     // serialized bytes): re-serialize them all in the next delta.
-    if (changelog_.enabled()) {
-      for (auto& [key, ks] : keys_) changelog_.Upsert(key, KeyHashOf(key));
+    if (keys_.incremental()) {
+      for (const auto& entry : keys_) keys_.Touch(entry);
     }
   }
   reg->AckApplied(name_ + ":" + std::to_string(subtask_index_), applied_seq_,
@@ -453,40 +461,12 @@ size_t WindowAggOperator::StandaloneIndexOfDyn(size_t index) const {
   return sidx;
 }
 
-void WindowAggOperator::InitDynStateForKey(const Value& key, KeyState* ks) {
-  // A key created after queries attached runs them from the key's first
-  // element (the key has no earlier history to miss); detached entries
-  // still allocate their slot so the layout matches the table.
-  for (const DynQuery& dq : dyn_queries_) {
-    if (dq.placement == QueryPlacement::kShared) {
-      Value key_copy = key;
-      const uint64_t id = dq.id;
-      const size_t slot = ks->shared->AddQuery(
-          std::make_unique<SlidingWindowFn>(dq.desc.range, dq.desc.slide,
-                                            dq.desc.origin),
-          [this, key_copy, id](size_t, const Window& w, const Value& v) {
-            EmitResult(key_copy, id, w, v);
-          });
-      if (!dq.active) ks->shared->DetachQuery(slot);
-    } else {
-      ks->standalone.emplace_back();
-    }
-  }
-}
-
 uint64_t WindowAggOperator::TotalStoredSlices() const {
   uint64_t total = 0;
   for (const auto& [key, ks] : keys_) {
     if (ks.shared) total += ks.shared->stored_slices();
   }
   return total;
-}
-
-void WindowAggOperator::UpdateStateGauges() {
-  if (load_gauge_ == nullptr) return;
-  load_gauge_->Set(keys_.load_factor());
-  probe_gauge_->Set(static_cast<double>(keys_.max_probe_length()));
-  keys_gauge_->Set(static_cast<double>(keys_.size()));
 }
 
 void WindowAggOperator::OnEndOfInput(Collector* out) {
@@ -596,7 +576,9 @@ std::array<uint64_t, 4> WindowAggOperator::KeyFingerprint(
   return {open, 0, 0, 0};
 }
 
-void WindowAggOperator::WriteDynTable(BinaryWriter* w) const {
+void WindowAggOperator::WriteMeta(BinaryWriter* w) const {
+  w->WriteI64(current_wm_);
+  w->WriteU64(seq_);
   w->WriteU64(applied_seq_);
   w->WriteU64(dyn_queries_.size());
   for (const DynQuery& dq : dyn_queries_) {
@@ -608,6 +590,49 @@ void WindowAggOperator::WriteDynTable(BinaryWriter* w) const {
     w->WriteBool(dq.active);
     w->WriteI64(dq.attach_wm);
   }
+  // Written in heap-array order (deterministic for a given input history);
+  // ReadMeta rebuilds the heap property, which holds for any array order.
+  w->WriteU64(pending_.size());
+  for (const auto& [record, seq] : pending_) {
+    w->WriteRecord(record);
+    w->WriteU64(seq);
+  }
+}
+
+Status WindowAggOperator::ReadMeta(BinaryReader* r, bool replay) {
+  auto wm = r->ReadI64();
+  if (!wm.ok()) return wm.status();
+  auto seq = r->ReadU64();
+  if (!seq.ok()) return seq.status();
+  // The dynamic-query table must be in place before any key state is
+  // restored: InitKeyState lays out per-key slots/standalone vectors from
+  // it, and RestoreKeyState validates the layout it reads against that.
+  std::vector<DynQuery> table;
+  uint64_t applied_seq = 0;
+  STREAMLINE_RETURN_IF_ERROR(ReadDynTable(r, &table, &applied_seq));
+  if (replay) STREAMLINE_RETURN_IF_ERROR(ReconcileDynTable(table));
+  dyn_queries_ = std::move(table);
+  applied_seq_ = applied_seq;
+  active_standalone_ = 0;
+  for (const DynQuery& dq : dyn_queries_) {
+    if (dq.active && dq.placement == QueryPlacement::kStandalone) {
+      ++active_standalone_;
+    }
+  }
+  auto np = r->ReadU64();
+  if (!np.ok()) return np.status();
+  pending_.clear();
+  for (uint64_t i = 0; i < *np; ++i) {
+    auto rec = r->ReadRecord();
+    if (!rec.ok()) return rec.status();
+    auto s = r->ReadU64();
+    if (!s.ok()) return s.status();
+    pending_.emplace_back(std::move(*rec), *s);
+  }
+  std::make_heap(pending_.begin(), pending_.end(), PendingAfter);
+  current_wm_ = *wm;
+  seq_ = *seq;
+  return Status::Ok();
 }
 
 Status WindowAggOperator::ReadDynTable(BinaryReader* r,
@@ -630,6 +655,12 @@ Status WindowAggOperator::ReadDynTable(BinaryReader* r,
     if (!origin.ok()) return origin.status();
     auto placement = r->ReadU8();
     if (!placement.ok()) return placement.status();
+    if (*placement != static_cast<uint8_t>(QueryPlacement::kShared) &&
+        *placement != static_cast<uint8_t>(QueryPlacement::kStandalone)) {
+      return Status::Internal("bad query placement " +
+                              std::to_string(*placement) + " in '" + name_ +
+                              "'");
+    }
     auto active = r->ReadBool();
     if (!active.ok()) return active.status();
     auto attach_wm = r->ReadI64();
@@ -645,19 +676,29 @@ Status WindowAggOperator::ReadDynTable(BinaryReader* r,
   return Status::Ok();
 }
 
-void WindowAggOperator::ReconcileDynTable(std::vector<DynQuery> table,
-                                          uint64_t applied_seq) {
+Status WindowAggOperator::ReconcileDynTable(
+    const std::vector<DynQuery>& table) {
   // The table is append-only and `active` only ever flips true -> false, so
   // the structural diff against the live table is: detach newly inactive
   // entries, then attach the appended tail. Keys the commands mutated were
   // all marked dirty in the same epoch, so their exact state follows in
   // this delta's upserts; the retrofit only has to make the *layout* (slot
   // counts, standalone vector sizes) match before those restores run.
-  uint64_t ignored_freed = 0;
-  STREAMLINE_CHECK(table.size() >= dyn_queries_.size())
-      << "dyn-query table shrank across a delta";
+  // Validate before mutating anything: a rejected table leaves the live
+  // state as it was.
+  if (table.size() < dyn_queries_.size()) {
+    return Status::Internal("dyn-query table shrank across a delta in '" +
+                            name_ + "'");
+  }
   for (size_t i = 0; i < dyn_queries_.size(); ++i) {
-    STREAMLINE_CHECK(table[i].id == dyn_queries_[i].id);
+    if (table[i].id != dyn_queries_[i].id ||
+        table[i].placement != dyn_queries_[i].placement) {
+      return Status::Internal("dyn-query table entry " + std::to_string(i) +
+                              " changed across a delta in '" + name_ + "'");
+    }
+  }
+  uint64_t ignored_freed = 0;
+  for (size_t i = 0; i < dyn_queries_.size(); ++i) {
     if (dyn_queries_[i].active && !table[i].active) {
       dyn_queries_[i].active = false;
       ApplyDynDetach(i, &ignored_freed);
@@ -670,159 +711,36 @@ void WindowAggOperator::ReconcileDynTable(std::vector<DynQuery> table,
     // but be detached, or the per-key restore validation rejects it.
     if (!table[i].active) ApplyDynDetach(i, &ignored_freed);
   }
-  dyn_queries_ = std::move(table);
-  applied_seq_ = applied_seq;
-  active_standalone_ = 0;
-  for (const DynQuery& dq : dyn_queries_) {
-    if (dq.active && dq.placement == QueryPlacement::kStandalone) {
-      ++active_standalone_;
-    }
-  }
+  return Status::Ok();
 }
 
 Status WindowAggOperator::SnapshotState(BinaryWriter* w) const {
-  w->WriteI64(current_wm_);
-  w->WriteU64(seq_);
-  WriteDynTable(w);
-  // Written in heap-array order (deterministic for a given input history);
-  // Restore rebuilds the heap property, which holds for any array order.
-  w->WriteU64(pending_.size());
-  for (const auto& [record, seq] : pending_) {
-    w->WriteRecord(record);
-    w->WriteU64(seq);
-  }
-  w->WriteU64(keys_.size());
-  for (const auto& [key, ks] : keys_) {
-    w->WriteValue(key);
-    SnapshotKeyState(ks, w);
-  }
-  return Status::Ok();
+  WriteMeta(w);
+  return keys_.SnapshotState(w);
 }
 
 Status WindowAggOperator::RestoreState(BinaryReader* r) {
-  auto wm = r->ReadI64();
-  if (!wm.ok()) return wm.status();
-  auto seq = r->ReadU64();
-  if (!seq.ok()) return seq.status();
-  // The dynamic-query table must be in place before any key state is
-  // restored: GetOrCreateKey lays out per-key slots/standalone vectors from
-  // it, and RestoreKeyState validates the layout it reads against that.
-  std::vector<DynQuery> table;
-  uint64_t applied_seq = 0;
-  STREAMLINE_RETURN_IF_ERROR(ReadDynTable(r, &table, &applied_seq));
-  dyn_queries_ = std::move(table);
-  applied_seq_ = applied_seq;
-  active_standalone_ = 0;
-  for (const DynQuery& dq : dyn_queries_) {
-    if (dq.active && dq.placement == QueryPlacement::kStandalone) {
-      ++active_standalone_;
-    }
-  }
-  auto np = r->ReadU64();
-  if (!np.ok()) return np.status();
-  pending_.clear();
-  for (uint64_t i = 0; i < *np; ++i) {
-    auto rec = r->ReadRecord();
-    if (!rec.ok()) return rec.status();
-    auto s = r->ReadU64();
-    if (!s.ok()) return s.status();
-    pending_.emplace_back(std::move(*rec), *s);
-  }
-  std::make_heap(pending_.begin(), pending_.end(), PendingAfter);
-  auto nk = r->ReadU64();
-  if (!nk.ok()) return nk.status();
-  keys_.clear();
-  keys_.Reserve(*nk);
-  for (uint64_t i = 0; i < *nk; ++i) {
-    auto key = r->ReadValue();
-    if (!key.ok()) return key.status();
-    KeyState* ks = GetOrCreateKey(*key, KeyHashOf(*key));
-    STREAMLINE_RETURN_IF_ERROR(RestoreKeyState(ks, r));
-  }
-  current_wm_ = *wm;
-  seq_ = *seq;
-  return Status::Ok();
+  STREAMLINE_RETURN_IF_ERROR(ReadMeta(r, /*replay=*/false));
+  return keys_.RestoreState(r);
 }
 
 Status WindowAggOperator::SnapshotDelta(ChangelogSink* sink) {
   // Meta record first: the operator-wide clock (watermark, arrival
-  // sequence) and the reorder buffer. The buffer holds only records the
-  // watermark has not yet covered, so this stays small in steady state;
-  // replay replaces it wholesale.
-  {
-    BinaryWriter w;
-    w.WriteU8(kDeltaMetaTag);
-    w.WriteI64(current_wm_);
-    w.WriteU64(seq_);
-    WriteDynTable(&w);
-    w.WriteU64(pending_.size());
-    for (const auto& [record, seq] : pending_) {
-      w.WriteRecord(record);
-      w.WriteU64(seq);
-    }
-    STREAMLINE_RETURN_IF_ERROR(sink->Append(w.Release()));
-  }
-  for (const KeyedChangelog::Event& ev : changelog_.events()) {
-    BinaryWriter w;
-    if (ev.op == KeyedChangelog::Op::kErase) {
-      w.WriteU8(kDeltaEraseTag);
-      w.WriteValue(ev.key);
-    } else {
-      w.WriteU8(kDeltaUpsertTag);
-      w.WriteValue(ev.key);
-      const KeyState* ks = keys_.Find(ev.hash, ev.key);
-      w.WriteU8(ks != nullptr ? 1 : 0);
-      if (ks != nullptr) SnapshotKeyState(*ks, &w);
-    }
-    STREAMLINE_RETURN_IF_ERROR(sink->Append(w.Release()));
-  }
-  changelog_.Clear();
-  return Status::Ok();
+  // sequence), the dyn-query table and the reorder buffer. The buffer holds
+  // only records the watermark has not yet covered, so this stays small in
+  // steady state; replay replaces it wholesale.
+  BinaryWriter w;
+  w.WriteU8(kDeltaMetaTag);
+  WriteMeta(&w);
+  STREAMLINE_RETURN_IF_ERROR(sink->Append(w.Release()));
+  return keys_.SnapshotDelta(sink);
 }
 
 Status WindowAggOperator::ApplyDelta(BinaryReader* r) {
   auto tag = r->ReadU8();
   if (!tag.ok()) return tag.status();
-  if (*tag == kDeltaMetaTag) {
-    auto wm = r->ReadI64();
-    if (!wm.ok()) return wm.status();
-    auto seq = r->ReadU64();
-    if (!seq.ok()) return seq.status();
-    std::vector<DynQuery> table;
-    uint64_t applied_seq = 0;
-    STREAMLINE_RETURN_IF_ERROR(ReadDynTable(r, &table, &applied_seq));
-    ReconcileDynTable(std::move(table), applied_seq);
-    auto np = r->ReadU64();
-    if (!np.ok()) return np.status();
-    pending_.clear();
-    for (uint64_t i = 0; i < *np; ++i) {
-      auto rec = r->ReadRecord();
-      if (!rec.ok()) return rec.status();
-      auto s = r->ReadU64();
-      if (!s.ok()) return s.status();
-      pending_.emplace_back(std::move(*rec), *s);
-    }
-    std::make_heap(pending_.begin(), pending_.end(), PendingAfter);
-    current_wm_ = *wm;
-    seq_ = *seq;
-    return Status::Ok();
-  }
-  auto key = r->ReadValue();
-  if (!key.ok()) return key.status();
-  const uint64_t hash = KeyHashOf(*key);
-  if (*tag == kDeltaEraseTag) {
-    keys_.Erase(hash, *key);
-    return Status::Ok();
-  }
-  if (*tag != kDeltaUpsertTag) {
-    return Status::Internal("bad changelog tag " + std::to_string(*tag) +
-                            " in '" + name_ + "'");
-  }
-  auto present = r->ReadU8();
-  if (!present.ok()) return present.status();
-  KeyState* ks = GetOrCreateKey(*key, hash);
-  if (*present != 0) STREAMLINE_RETURN_IF_ERROR(RestoreKeyState(ks, r));
-  return Status::Ok();
+  if (*tag == kDeltaMetaTag) return ReadMeta(r, /*replay=*/true);
+  return keys_.ApplyDelta(*tag, r);
 }
 
 AggStats WindowAggOperator::SharedStats() const {

@@ -11,8 +11,7 @@
 #include <vector>
 
 #include "agg/slicing_aggregator.h"
-#include "common/flat_hash_map.h"
-#include "dataflow/changelog.h"
+#include "dataflow/keyed_state.h"
 #include "dataflow/operator.h"
 #include "dataflow/query_registry.h"
 #include "window/dyn_aggregate.h"
@@ -169,10 +168,10 @@ class WindowAggOperator : public Operator {
   Status SnapshotState(BinaryWriter* w) const override;
   Status RestoreState(BinaryReader* r) override;
   bool SupportsIncrementalState() const override { return true; }
-  void EnableIncrementalState() override { changelog_.Enable(); }
+  void EnableIncrementalState() override { keys_.EnableIncremental(); }
   Status SnapshotDelta(ChangelogSink* sink) override;
   Status ApplyDelta(BinaryReader* r) override;
-  void ResetDelta() override { changelog_.Clear(); }
+  void ResetDelta() override { keys_.ResetDelta(); }
   std::string Name() const override { return name_; }
 
   /// Aggregation work counters summed over all keys (shared backend only).
@@ -226,7 +225,22 @@ class WindowAggOperator : public Operator {
     uint64_t standalone_fires = 0;
   };
 
-  KeyState* GetOrCreateKey(const Value& key, uint64_t hash);
+  /// KeyedState codec: a key's layout and bytes follow the spec and the
+  /// dyn-query table, so they are the operator's to define.
+  struct KeyCodec {
+    WindowAggOperator* op;
+    void Init(const Value& key, KeyState* ks) { op->InitKeyState(key, ks); }
+    void Write(const KeyState& ks, BinaryWriter* w) const {
+      op->SnapshotKeyState(ks, w);
+    }
+    Status Read(KeyState* ks, BinaryReader* r) const {
+      return op->RestoreKeyState(ks, r);
+    }
+  };
+
+  /// Lays out a new key: per-query window state for the spec windows and,
+  /// so snapshots line up, one slot per dyn-table entry.
+  void InitKeyState(const Value& key, KeyState* ks);
   void ApplyElement(const Value& key, KeyState* ks, const Record& record);
   void AdvanceKeyWatermark(const Value& key, KeyState* ks, Timestamp wm);
   void SnapshotKeyState(const KeyState& ks, BinaryWriter* w) const;
@@ -242,7 +256,6 @@ class WindowAggOperator : public Operator {
   void EmitResult(const Value& key, size_t query, const Window& w,
                   const Value& result);
   void EagerFire(const Value& key, KeyState* ks, Timestamp wm);
-  void UpdateStateGauges();
 
   // -- standing-query registry integration --------------------------------
   /// Polls the registry command log and applies new attach/detach commands
@@ -259,18 +272,22 @@ class WindowAggOperator : public Operator {
   size_t SharedSlotOfDyn(size_t index) const;
   /// Position of dyn entry `index` among standalone entries.
   size_t StandaloneIndexOfDyn(size_t index) const;
-  /// Registers the dyn-table queries on a freshly created key (slot layout
-  /// must match the table for snapshots to line up).
-  void InitDynStateForKey(const Value& key, KeyState* ks);
   void FoldStandalone(const Value& key, KeyState* ks, const Record& record);
   void FireStandalone(const Value& key, KeyState* ks, Timestamp wm);
   uint64_t TotalStoredSlices() const;
-  void WriteDynTable(BinaryWriter* w) const;
+  /// Operator-wide prefix of both the full snapshot and the kDeltaMeta
+  /// record: watermark, arrival sequence, dyn-query table, reorder buffer.
+  void WriteMeta(BinaryWriter* w) const;
+  /// Reads that prefix. A full restore replaces the dyn table wholesale (the
+  /// keys are restored after it); delta replay reconciles it with the live
+  /// keys instead.
+  Status ReadMeta(BinaryReader* r, bool replay);
   Status ReadDynTable(BinaryReader* r, std::vector<DynQuery>* table,
                       uint64_t* applied_seq) const;
-  /// Replaces the dyn table with `table`, structurally retrofitting live
-  /// keys (new entries attached, newly inactive entries detached).
-  void ReconcileDynTable(std::vector<DynQuery> table, uint64_t applied_seq);
+  /// Structurally retrofits live keys to `table` (new entries attached,
+  /// newly inactive entries detached). Rejects a table that is not an
+  /// extension of the live one.
+  Status ReconcileDynTable(const std::vector<DynQuery>& table);
 
   std::string name_;
   WindowAggSpec spec_;
@@ -315,17 +332,11 @@ class WindowAggOperator : public Operator {
   // destructor so a registry outliving this job never writes into it.
   MetricsRegistry* bound_metrics_ = nullptr;
 
-  FlatHashMap<Value, KeyState> keys_;
-  KeyedChangelog changelog_;
+  KeyedState<KeyState, KeyCodec> keys_;
   // Hash of the synthetic key used when spec_.key is null (global windows);
   // computed on first use (KeyHashOf never returns 0).
   uint64_t global_key_hash_ = 0;
   Collector* current_out_ = nullptr;
-
-  // Keyed-state observability (null when the job exposes no registry).
-  Gauge* load_gauge_ = nullptr;
-  Gauge* probe_gauge_ = nullptr;
-  Gauge* keys_gauge_ = nullptr;
 };
 
 }  // namespace streamline

@@ -25,6 +25,7 @@
 #include "common/fault_injection.h"
 #include "dataflow/executor.h"
 #include "dataflow/operators.h"
+#include "dataflow/query_registry.h"
 #include "dataflow/snapshot.h"
 #include "dataflow/supervisor.h"
 #include "dataflow/temporal_join.h"
@@ -425,6 +426,77 @@ TEST(IncrementalByteIdentityTest, TemporalJoinDimensionTable) {
   ASSERT_TRUE(recovered->Open(OperatorContext{}).ok());
   RestoreAndReplay(base, segments, recovered.get());
   EXPECT_EQ(SnapshotBytes(*recovered), SnapshotBytes(*live));
+}
+
+// Malformed checkpoint bytes surface as a non-OK Status (so a supervisor
+// can fall back to an older checkpoint) instead of aborting the process.
+TEST(IncrementalByteIdentityTest, MalformedDynTableIsRejectedNotFatal) {
+  auto registry = std::make_shared<QueryRegistry>();
+  auto make = [&registry]() {
+    WindowAggSpec spec;
+    spec.key = [](const Record& r) { return r.field(0); };
+    spec.value_field = 1;
+    spec.windows = {std::make_shared<TumblingWindowFn>(10)};
+    spec.registry = registry;
+    return std::make_unique<WindowAggOperator>("w", std::move(spec));
+  };
+  auto live = make();
+  ASSERT_TRUE(live->Open(OperatorContext{}).ok());
+  CaptureCollector out;
+  for (Timestamp ts = 0; ts < 20; ++ts) {
+    live->ProcessRecord(0, KV(ts, ts % 3, ts), &out);
+  }
+  const uint64_t id = registry->AttachSliding(30, 10);
+  live->ProcessWatermark(15, &out);  // drains the attach: one dyn entry
+  const std::string base = SnapshotBytes(*live);
+
+  // A meta delta record carrying the given dyn-query table.
+  struct Entry {
+    uint64_t id;
+    uint8_t placement;
+  };
+  auto meta = [](const std::vector<Entry>& table) {
+    BinaryWriter w;
+    w.WriteU8(0);    // meta tag
+    w.WriteI64(15);  // watermark
+    w.WriteU64(20);  // arrival sequence
+    w.WriteU64(table.size());  // applied command sequence
+    w.WriteU64(table.size());
+    for (const Entry& e : table) {
+      w.WriteU64(e.id);
+      w.WriteI64(30);
+      w.WriteI64(10);
+      w.WriteI64(0);
+      w.WriteU8(e.placement);
+      w.WriteBool(true);
+      w.WriteI64(15);
+    }
+    w.WriteU64(0);  // empty reorder buffer
+    return w.Release();
+  };
+  const uint8_t kShared = static_cast<uint8_t>(QueryPlacement::kShared);
+  const std::vector<std::vector<Entry>> bad_tables = {
+      {},                     // the table shrank
+      {{id + 1, kShared}},    // the entry's id changed
+      {{id, 7}},              // not a placement
+  };
+  for (const auto& table : bad_tables) {
+    auto recovered = make();
+    ASSERT_TRUE(recovered->Open(OperatorContext{}).ok());
+    BinaryReader r(base);
+    ASSERT_TRUE(recovered->RestoreState(&r).ok());
+    const std::string rec = meta(table);
+    BinaryReader dr(rec);
+    EXPECT_FALSE(recovered->ApplyDelta(&dr).ok()) << table.size();
+  }
+  // A well-formed table with the same single entry still applies.
+  auto recovered = make();
+  ASSERT_TRUE(recovered->Open(OperatorContext{}).ok());
+  BinaryReader r(base);
+  ASSERT_TRUE(recovered->RestoreState(&r).ok());
+  const std::string rec = meta({{id, kShared}});
+  BinaryReader dr(rec);
+  EXPECT_TRUE(recovered->ApplyDelta(&dr).ok());
 }
 
 // ---------------------------------------------------------------------------
