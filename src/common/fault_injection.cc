@@ -63,32 +63,10 @@ Status FaultInjector::Fire(RuleState* rs, std::string_view site,
 }
 
 Status FaultInjector::OnHit(std::string_view site) {
-  MutexLock lock(&mu_);
-  bool counted = false;
-  for (auto& [s, n] : site_hits_) {
-    if (s == site) {
-      ++n;
-      counted = true;
-      break;
-    }
-  }
-  if (!counted) site_hits_.emplace_back(std::string(site), 1);
-  for (RuleState& rs : rules_) {
-    if (rs.rule.at_checkpoint != 0) continue;  // checkpoint-path rule
-    if (!SiteMatches(rs.rule.site, site)) continue;
-    ++rs.hits;
-    if (rs.rule.max_fires != 0 && rs.fires >= rs.rule.max_fires) continue;
-    if (rs.rule.at_hit != 0 && rs.hits >= rs.rule.at_hit) {
-      return Fire(&rs, site,
-                  "hit " + std::to_string(rs.hits));
-    }
-    if (rs.rule.probability > 0 && rng_.NextBool(rs.rule.probability)) {
-      return Fire(&rs, site,
-                  "probability " + std::to_string(rs.rule.probability) +
-                      " at hit " + std::to_string(rs.hits));
-    }
-  }
-  return Status::Ok();
+  SpanFault fault = OnSpan(site, 1);
+  if (!fault.fired) return Status::Ok();
+  if (fault.kind == FaultKind::kThrow) throw std::runtime_error(fault.message);
+  return fault.status;
 }
 
 FaultInjector::SpanFault FaultInjector::OnSpan(std::string_view site,

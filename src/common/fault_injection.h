@@ -69,7 +69,7 @@ class FaultInjector {
 
   /// Record-path hook: called per record delivered to the site. Returns a
   /// non-ok Status when a kStatus rule fires; throws std::runtime_error
-  /// when a kThrow rule fires.
+  /// when a kThrow rule fires. It is OnSpan(site, 1) with the fault raised.
   Status OnHit(std::string_view site);
 
   /// Outcome of probing a span of `count` record hits at once (the batch

@@ -61,11 +61,21 @@ void WorkStealingPool::Notify(Schedulable* task) {
   //                                one queue slot per kQueued episode)
   //   kRunning -> kRunningNotified (the running worker requeues at finish)
   // and treats kQueued / kRunningNotified as already-covered no-ops.
-  // Claiming (ClaimAndRun / TryRunInline) takes kQueued -> kRunning with
-  // an acquire CAS; the finish protocol (RunClaimed) owns every
-  // transition out of kRunning*. The release/acquire pairing on
-  // claim/finish is the happens-before edge that hands the task's
-  // non-atomic state from one worker to the next.
+  // Claiming (ClaimAndRun) takes kQueued -> kRunning with an acquire CAS;
+  // the finish protocol (RunClaimed) owns every transition out of
+  // kRunning*. The release/acquire pairing on claim/finish is the
+  // happens-before edge that hands the task's non-atomic state from one
+  // worker to the next.
+  //
+  // The caller has just published work for `task` (a channel push) and
+  // reads its state to decide whether to wake it: a store followed by a
+  // load. Without a fence the load may be satisfied before the push is
+  // visible, see kQueued, and return -- while the task, claimed right
+  // after, still finds its channel empty and goes idle with the event
+  // unseen. Paired with the fence in ClaimAndRun, either this load sees
+  // the claim (and marks kRunningNotified) or the claimed Step sees the
+  // push.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   uint32_t state = task->sched_state_.load(std::memory_order_relaxed);
   for (;;) {
     if (state == Schedulable::kQueued ||
@@ -140,6 +150,9 @@ bool WorkStealingPool::ClaimAndRun(Schedulable* task,
           std::memory_order_relaxed)) {
     return false;  // stale queue entry: claimed (and maybe requeued) elsewhere
   }
+  // Pairs with the fence in Notify: the Step below must see every push
+  // whose Notify read the state before this claim.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   morsel_counter->fetch_add(1, std::memory_order_relaxed);
   RunClaimed(task);
   return true;
@@ -270,26 +283,6 @@ bool WorkStealingPool::TryRunOneTask() {
     }
   }
   return false;
-}
-
-bool WorkStealingPool::TryRunInline(Schedulable* task) {
-  // Claim directly from idle or queued. Claiming an idle task is harmless:
-  // its Step finds nothing and it goes back to idle. A queued task's deque
-  // entry goes stale; ClaimAndRun's CAS drops it when dequeued.
-  uint32_t expected = Schedulable::kIdle;
-  if (!task->sched_state_.compare_exchange_strong(
-          expected, Schedulable::kRunning, std::memory_order_acq_rel,
-          std::memory_order_relaxed)) {
-    if (expected != Schedulable::kQueued) return false;  // running elsewhere
-    if (!task->sched_state_.compare_exchange_strong(
-            expected, Schedulable::kRunning, std::memory_order_acq_rel,
-            std::memory_order_relaxed)) {
-      return false;
-    }
-  }
-  counters_.morsels_inline.fetch_add(1, std::memory_order_relaxed);
-  RunClaimed(task);
-  return true;
 }
 
 void WorkStealingPool::WorkerMain(size_t index) {

@@ -59,7 +59,9 @@ struct SchedulerCounters {
   std::atomic<uint64_t> morsels_local{0};    // run from the worker's own deque
   std::atomic<uint64_t> morsels_stolen{0};   // run after stealing from a peer
   std::atomic<uint64_t> morsels_injected{0}; // run from the global queue
-  std::atomic<uint64_t> morsels_inline{0};   // run inside a backpressure wait
+  // Always 0: nothing runs morsels inline any more. Kept only because the
+  // engine benchmark (perfbench/streamline_bench.cc) reads it.
+  std::atomic<uint64_t> morsels_inline{0};
   std::atomic<uint64_t> steals{0};           // successful steal operations
   std::atomic<uint64_t> parks{0};            // worker park events
   std::atomic<uint64_t> wakeups{0};          // NotifyOne calls on parked workers
@@ -101,19 +103,6 @@ class WorkStealingPool {
   /// Step() re-queues the task afterwards) and a task never runs on two
   /// workers at once.
   void Notify(Schedulable* task);
-
-  /// Claims and runs one ready task on the calling thread: own deque
-  /// first, then the global queue, then stealing a peer's oldest task.
-  /// Returns false when nothing was runnable. This doubles as the
-  /// backpressure escape hatch -- a producer blocked on a full channel
-  /// keeps the pool making progress (including running the very consumer
-  /// it is waiting for) instead of stalling a worker.
-  bool TryRunOneTask();
-
-  /// Claims `task` directly (from idle or queued) and runs one morsel on
-  /// the calling thread; false when it is currently running elsewhere.
-  /// Used by producers to drain their own full output channel's consumer.
-  bool TryRunInline(Schedulable* task);
 
   /// Runs `fn` every `period_ms` on the shared timer thread until
   /// cancelled; returns the timer id. Callbacks must be short (notify
@@ -163,6 +152,10 @@ class WorkStealingPool {
   };
 
   void WorkerMain(size_t index);
+  /// Claims and runs one ready task on the calling worker: own deque
+  /// first, then the global queue, then stealing a peer's oldest task.
+  /// Returns false when nothing was runnable.
+  bool TryRunOneTask();
   void TimerMain();
   /// Puts an already-kQueued task on a run queue and wakes a parked
   /// worker. Called with no locks held. `to_front` selects the hot (LIFO)

@@ -644,10 +644,6 @@ class Task : public Schedulable {
 
   void Dispatch(int c, StreamEvent&& event) {
     switch (event.kind) {
-      case StreamEvent::Kind::kRecord:
-        records_in_->Increment();
-        DeliverRecord(channel_ordinal[c], std::move(event.record));
-        break;
       case StreamEvent::Kind::kBatch:
         records_in_->Increment(event.batch.size());
         if (batch_path_) {

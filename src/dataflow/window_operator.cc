@@ -84,15 +84,10 @@ void WindowAggOperator::InitKeyState(const Value& key, KeyState* ks) {
     // still allocate their slot so the layout matches the table.
     for (const DynQuery& dq : dyn_queries_) {
       if (dq.placement == QueryPlacement::kShared) {
-        // analyzer:allow(record-copy-in-hot-path): once per new key (watermark apply, restore, replay), never per record; the callback must own its key
-        Value key_copy = key;
-        const uint64_t id = dq.id;
         const size_t slot = ks->shared->AddQuery(
             std::make_unique<SlidingWindowFn>(dq.desc.range, dq.desc.slide,
                                               dq.desc.origin),
-            [this, key_copy, id](size_t, const Window& w, const Value& v) {
-              EmitResult(key_copy, id, w, v);
-            });
+            DynResultCallback(key, dq.id));
         if (!dq.active) ks->shared->DetachQuery(slot);
       } else {
         ks->standalone.emplace_back();
@@ -405,6 +400,15 @@ void WindowAggOperator::DrainRegistryCommands() {
                   TotalStoredSlices(), slices_freed);
 }
 
+WindowAggOperator::SharedAgg::ResultCallback
+WindowAggOperator::DynResultCallback(const Value& key, uint64_t id) {
+  // analyzer:allow(record-copy-in-hot-path): once per key per dyn query (new key, attach command, restore), never per record; the callback must own its key
+  Value key_copy = key;
+  return [this, key_copy, id](size_t, const Window& w, const Value& v) {
+    EmitResult(key_copy, id, w, v);
+  };
+}
+
 void WindowAggOperator::ApplyDynAttach(const DynQuery& dq,
                                        uint64_t* slices_freed) {
   (void)slices_freed;
@@ -412,14 +416,10 @@ void WindowAggOperator::ApplyDynAttach(const DynQuery& dq,
   if (dq.placement == QueryPlacement::kShared) {
     const size_t slot = SharedSlotOfDyn(index);
     for (auto& [key, ks] : keys_) {
-      Value key_copy = key;
-      const uint64_t id = dq.id;
       const size_t got = ks.shared->AttachQuery(
           std::make_unique<SlidingWindowFn>(dq.desc.range, dq.desc.slide,
                                             dq.desc.origin),
-          [this, key_copy, id](size_t, const Window& w, const Value& v) {
-            EmitResult(key_copy, id, w, v);
-          });
+          DynResultCallback(key, dq.id));
       STREAMLINE_CHECK_EQ(got, slot);
     }
   } else {

@@ -266,6 +266,9 @@ class WindowAggOperator : public Operator {
   /// the live drain and by checkpoint-delta replay (which reconciles the
   /// key layout before re-restoring the keys the epoch touched).
   void ApplyDynAttach(const DynQuery& dq, uint64_t* slices_freed);
+  /// Result callback of shared dyn query `id` on `key`; owns a copy of the
+  /// key.
+  SharedAgg::ResultCallback DynResultCallback(const Value& key, uint64_t id);
   void ApplyDynDetach(size_t index, uint64_t* slices_freed);
   /// Slicer slot of dyn entry `index` (spec windows first, then one slot
   /// per shared dyn entry in table order, detached holes included).

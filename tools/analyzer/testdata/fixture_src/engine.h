@@ -4,7 +4,8 @@
 // Miniature engine surface for streamline-analyzer fixture tests. These
 // files are parsed by the analyzer, never compiled; they model just enough
 // of the real src/ shapes (Schedulable, Operator, Collector, Mutex/CondVar,
-// Record) for every check to have a firing, a waived, and a clean case.
+// Record, the replay classes) for every check to have a firing, a waived,
+// and a clean case.
 
 #include <chrono>
 #include <vector>
@@ -51,11 +52,25 @@ class Operator {
   virtual ~Operator() = default;
   virtual void ProcessRecord(Record& r) = 0;
   virtual void ProcessBatch(std::vector<Record>& batch) = 0;
+  virtual void ProcessWatermark(long wm) {}
 };
 
 class Collector {
  public:
   virtual ~Collector() = default;
+};
+
+/// Replay classes: every method of these (and of their subclasses) is a
+/// snapshot-nondeterminism entry, whatever its name.
+class SnapshotStore {
+ public:
+  virtual ~SnapshotStore() = default;
+  virtual void Put(long id) = 0;
+};
+
+class EventLog {
+ public:
+  long Append(Record record);
 };
 
 /// Cross-TU helper: declared here, bodies live in support.cc, callers in

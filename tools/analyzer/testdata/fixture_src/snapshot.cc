@@ -16,6 +16,12 @@ class StateHolder {
   /// CLEAN: delta application is pure state transformation.
   void ApplyDelta(int delta) { seed_ += delta; }
 
+  /// FIRING: a nondeterministic std type named as a local's type.
+  void RestoreSeed() {
+    std::random_device entropy;
+    seed_ = static_cast<int>(entropy());
+  }
+
  private:
   void StampTime() {
     stamp_ = std::chrono::system_clock::now().time_since_epoch().count();

@@ -3,7 +3,10 @@
 
 These are repo-specific rules that generic tooling (clang-tidy, compiler
 warnings) cannot express. Each rule guards an invariant the engine's
-performance or correctness story depends on:
+performance or correctness story depends on. Rules that need a call graph
+-- snapshot-nondeterminism, record-copy-in-hot-path, raw-socket,
+block-in-morsel, lock-order-cycle -- live in streamline-analyzer
+(tools/analyzer) instead; no rule is implemented in both places.
 
   raw-mutex
       All locking goes through the annotated wrappers in
@@ -15,15 +18,6 @@ performance or correctness story depends on:
       Hot-path files must use FlatHashMap (open addressing, no per-node
       allocation) instead of std::unordered_map for per-record lookups.
 
-  record-copy-hot-path
-      The data plane is allocation-free per record; Records moving through
-      ProcessRecord/Emit chains must be moved, never copied. (Sinks taking
-      `const Record&` copy deliberately -- they are outside the hot set.)
-
-  snapshot-nondeterminism
-      Snapshot/restore paths must be deterministic: no wall-clock reads, no
-      ambient randomness. Monotonic steady_clock timeouts are fine.
-
   raw-thread
       Every OS thread in the engine is accounted for: workers and the
       timer belong to WorkStealingPool (src/common/thread_pool.cc), and
@@ -31,13 +25,6 @@ performance or correctness story depends on:
       Constructing std::thread anywhere else reintroduces unaccounted
       thread-per-X execution, which is exactly what the morsel scheduler
       exists to prevent.
-
-  raw-socket
-      Socket creation is confined to src/net/: the network edge wraps
-      every descriptor in an owning Fd, makes it non-blocking +
-      close-on-exec, and keeps socket IO off the worker pool. A raw
-      socket(2)/socketpair(2) call anywhere else reintroduces an
-      unaccounted, blocking-by-default fd.
 
   unsynced-write
       Durability-path files (the WAL and the snapshot stores) must write
@@ -85,11 +72,8 @@ MUTEX_HOME = SRC / "common" / "mutex.h"
 THREAD_HOME = {SRC / "common" / "thread_pool.cc",
                SRC / "common" / "thread_pool.h"}
 
-# The sanctioned home of socket creation: the network edge.
-NET_DIR = SRC / "net"
-
-# Files on the per-record data path. Per-record lookups and copies here are
-# what the paper's single-engine throughput claims rest on.
+# Files on the per-record data path. Per-record lookups here are what the
+# paper's single-engine throughput claims rest on.
 HOT_PATH_FILES = [
     SRC / "dataflow" / "executor.cc",
     SRC / "dataflow" / "operator.h",
@@ -102,10 +86,6 @@ HOT_PATH_FILES = [
     SRC / "dataflow" / "events.h",
     SRC / "common" / "spsc_ring.h",
 ]
-
-# Files on the snapshot/restore path, where nondeterminism breaks
-# checkpoint reproducibility.
-SNAPSHOT_PATH_PATTERNS = ["*snapshot*", "event_log.*"]
 
 # Files whose writes must be durable before they are acknowledged: the WAL
 # itself and the snapshot stores. Writes here go through WalWriter or
@@ -123,25 +103,10 @@ RAW_MUTEX_RE = re.compile(
     r"unique_lock|scoped_lock|condition_variable\w*)\b"
 )
 UNORDERED_MAP_RE = re.compile(r"\bstd::unordered_(map|set|multimap|multiset)\b")
-# Copy-initializing a Record from an lvalue, or handing a named record to
-# Emit/push_back without std::move.
-RECORD_COPY_RES = [
-    re.compile(r"\bRecord\s+\w+\s*=\s*(?!std::move\b|MakeRecord\b|Record\b)"
-               r"[A-Za-z_]\w*(\.\w+\(\))?\s*;"),
-    re.compile(r"\b(Emit|push_back|emplace_back)\(\s*(record|rec)\s*\)"),
-]
-NONDETERMINISM_RE = re.compile(
-    r"\bstd::chrono::system_clock\b|\bstd::random_device\b|"
-    r"(?<![\w:])rand\s*\(|(?<![\w:_])time\s*\(\s*(NULL|nullptr|0)?\s*\)|"
-    r"\blocaltime\b|\bgmtime\b"
-)
 WAIVER_RE = re.compile(r"lint:allow\(([\w-]+)\)(:\s*\S)?")
 # std::thread construction or membership; deliberately does not match
 # std::this_thread:: utilities (yield/sleep_for are fine anywhere).
 RAW_THREAD_RE = re.compile(r"\bstd::thread\b(?!::)")
-# socket(2)/socketpair(2) creation calls; member access (x.socket()) and
-# identifiers merely containing the word do not match.
-RAW_SOCKET_RE = re.compile(r"(?<![\w.>])(socket|socketpair)\s*\(")
 # Unsynced write primitives in durability code. ifstream (reads) is fine;
 # ofstream, C stdio writes, and fstream opened for writing are not.
 UNSYNCED_WRITE_RE = re.compile(
@@ -197,62 +162,48 @@ def read_lines(path):
         sys.exit(2)
 
 
+def report(rule, path, i, line, waiver_lines, violations, registry):
+    """Records a `rule` match at line i unless a reasoned waiver for it sits
+    on one of `waiver_lines` ((lineno, text) pairs). Every matching waiver
+    is marked used; one without a reason suppresses nothing and is itself
+    reported."""
+    reasons = []
+    for lineno, text in waiver_lines:
+        m = WAIVER_RE.search(text)
+        if m and m.group(1) == rule:
+            registry.mark_used(path, lineno, rule)
+            reasons.append(bool(m.group(2)))
+    if any(reasons):
+        return
+    prefix = "waiver has no reason: " if reasons else ""
+    violations.append((path, i, rule, prefix + line.strip()))
+
+
 def scan_virtual_per_record_loops(path, violations, registry):
     """Flags per-record dispatch calls within LOOP_WINDOW lines of a loop
     header. The waiver may sit on the call line or anywhere in the window
     above it (typically the comment right above the loop header)."""
     lines = read_lines(path)
-    rule = "virtual-per-record-loop"
     for i, line in enumerate(lines, 1):
         if not PER_RECORD_DISPATCH_RE.search(line):
             continue
         start = max(0, i - 1 - LOOP_WINDOW)
         window = list(enumerate(lines[start:i], start + 1))
-        if not any(LOOP_HEADER_RE.search(w) for _, w in window):
-            continue
-        waiver = None
-        for lineno, text in window + [(i, line)]:
-            m = WAIVER_RE.search(text)
-            if m and m.group(1) == rule:
-                registry.mark_used(path, lineno, rule)
-                waiver = "waived" if m.group(2) else "missing-reason"
-        if waiver == "waived":
-            continue
-        if waiver == "missing-reason":
-            violations.append(
-                (path, i, rule, "waiver has no reason: " + line.strip()))
-            continue
-        violations.append((path, i, rule, line.strip()))
-
-
-def waived(rule, path, i, line, prev_line, registry):
-    for lineno, text in ((i, line), (i - 1, prev_line)):
-        m = WAIVER_RE.search(text)
-        if m and m.group(1) == rule:
-            registry.mark_used(path, lineno, rule)
-            if not m.group(2):
-                return "missing-reason"
-            return "waived"
-    return None
+        if any(LOOP_HEADER_RE.search(w) for _, w in window):
+            report("virtual-per-record-loop", path, i, line, window,
+                   violations, registry)
 
 
 def scan_file(path, rules, violations, registry):
-    """rules: list of (rule_name, regex). Appends (path, lineno, rule, line)."""
+    """rules: list of (rule_name, regex). A waiver may sit on the matching
+    line or the line above it."""
     lines = read_lines(path)
-    prev = ""
     for i, line in enumerate(lines, 1):
         for rule, regex in rules:
-            if not regex.search(line):
-                continue
-            w = waived(rule, path, i, line, prev, registry)
-            if w == "waived":
-                continue
-            if w == "missing-reason":
-                violations.append(
-                    (path, i, rule, "waiver has no reason: " + line.strip()))
-                continue
-            violations.append((path, i, rule, line.strip()))
-        prev = line
+            if regex.search(line):
+                above = [(i - 1, lines[i - 2])] if i > 1 else []
+                report(rule, path, i, line, [(i, line)] + above, violations,
+                       registry)
 
 
 def main():
@@ -291,8 +242,6 @@ def main():
             rules.append(("raw-mutex", RAW_MUTEX_RE))
         if path not in THREAD_HOME:
             rules.append(("raw-thread", RAW_THREAD_RE))
-        if NET_DIR not in path.parents:
-            rules.append(("raw-socket", RAW_SOCKET_RE))
         scan_file(path, rules, violations, registry)
 
     for path in HOT_PATH_FILES:
@@ -300,9 +249,8 @@ def main():
             print(f"error: hot-path file {path} missing (update the list)",
                   file=sys.stderr)
             return 2
-        rules = [("unordered-map-hot-path", UNORDERED_MAP_RE)]
-        rules += [("record-copy-hot-path", r) for r in RECORD_COPY_RES]
-        scan_file(path, rules, violations, registry)
+        scan_file(path, [("unordered-map-hot-path", UNORDERED_MAP_RE)],
+                  violations, registry)
         scan_virtual_per_record_loops(path, violations, registry)
 
     for path in DURABILITY_PATH_FILES:
@@ -312,15 +260,6 @@ def main():
             return 2
         scan_file(path, [("unsynced-write", UNSYNCED_WRITE_RE)], violations,
                   registry)
-
-    snapshot_files = set()
-    for pattern in SNAPSHOT_PATH_PATTERNS:
-        snapshot_files.update(SRC.rglob(pattern))
-    for path in sorted(snapshot_files):
-        if path.suffix not in (".h", ".cc", ".cpp", ".hpp"):
-            continue
-        scan_file(path, [("snapshot-nondeterminism", NONDETERMINISM_RE)],
-                  violations, registry)
 
     for path, lineno, rule in registry.stale():
         violations.append(
