@@ -33,11 +33,13 @@ namespace streamline {
 /// the first results can cover pre-attach data; detach frees its slot and
 /// immediately garbage-collects slices no remaining query references.
 ///
-/// Scheduling: periodic window functions publish their next boundary
-/// (NextWakeup / NextWatermarkWakeup); the slicer keeps them in lazy
-/// min-heaps and polls only the *due* queries at each boundary crossing, so
-/// both the per-record and the per-watermark cost are independent of the
-/// number of registered periodic queries (O(due * log n), not O(n)).
+/// Scheduling: window functions publish their next boundary (NextWakeup /
+/// NextWatermarkWakeup); the slicer keeps them in lazy min-heaps and polls
+/// only the *due* queries at each boundary crossing, so both the per-record
+/// and the per-watermark cost are independent of the number of registered
+/// periodic queries (O(due * log n), not O(n)). NextDue() publishes the
+/// earliest watermark that could change anything, so an owner of many
+/// slicers (the window operator, one per key) advances only the due ones.
 ///
 /// Store choice:
 ///   * FlatFatStore — O(log n) fires, any aggregate (default).
@@ -240,18 +242,35 @@ class SlicingAggregator : public WindowAggregator<Agg> {
 
   void OnWatermark(Timestamp wm) override {
     if (!sched_valid_) RebuildSchedule();
-    // Watermarks only complete windows; poll the queries whose next window
-    // end is covered (wm min-heap) plus the data-driven ones. Boundary
+    // Watermarks only complete windows; poll the queries whose watermark
+    // wakeup is covered (wm min-heap) plus the always-polled ones. Boundary
     // generators contribute begins only, so they are never watermark-polled.
-    poll_queries_.assign(always_wm_queries_.begin(), always_wm_queries_.end());
-    while (!wm_heap_.empty() && wm_heap_.front().first <= wm) {
-      const auto [at, q] = wm_heap_.front();
-      PopHeap(&wm_heap_);
-      if (q_wm_wakeup_[q] != at) continue;  // stale (re-armed or detached)
-      q_wm_wakeup_[q] = kMaxTimestamp;
-      poll_queries_.push_back(q);
+    poll_queries_.clear();
+    if (wm == kMaxTimestamp) {
+      // End of stream: every function is due (kMaxTimestamp wakeups mean
+      // "end of stream only"), so poll every attached query.
+      wm_heap_.clear();
+      for (size_t q = 0; q < queries_.size(); ++q) {
+        if (queries_[q].wf == nullptr) continue;
+        if (q_wm_wakeup_[q] != kMinTimestamp) q_wm_wakeup_[q] = kMaxTimestamp;
+        poll_queries_.push_back(q);
+      }
+    } else {
+      poll_queries_.assign(always_wm_queries_.begin(),
+                           always_wm_queries_.end());
+      while (!wm_heap_.empty() && wm_heap_.front().first <= wm) {
+        const auto [at, q] = wm_heap_.front();
+        PopHeap(&wm_heap_);
+        if (q_wm_wakeup_[q] != at) continue;  // stale (re-armed or detached)
+        q_wm_wakeup_[q] = kMaxTimestamp;
+        if (queries_[q].wf->NextWatermarkWakeup() <= wm) {
+          poll_queries_.push_back(q);
+        } else {
+          ArmWatermark(q);  // lazily armed: the wakeup moved later
+        }
+      }
+      std::sort(poll_queries_.begin(), poll_queries_.end());
     }
-    std::sort(poll_queries_.begin(), poll_queries_.end());
     events_.clear();
     for (size_t q : poll_queries_) {
       scratch_.clear();
@@ -266,6 +285,30 @@ class SlicingAggregator : public WindowAggregator<Agg> {
     Evict();
     UpdatePeak();
     wakeup_threshold_ = ElemHeapMin();
+  }
+
+  /// The earliest watermark at which OnWatermark could emit an event or
+  /// change the aggregation state: the live minimum of the watermark heap,
+  /// kMinTimestamp while some query is polled on every watermark, and
+  /// kMaxTimestamp when only the end of the stream is due. Exact as long as
+  /// no element arrived since the last OnWatermark -- elements may owe an
+  /// eviction, so their key is advanced regardless. Settles lazily armed
+  /// heap entries, hence non-const.
+  Timestamp NextDue() {
+    if (!sched_valid_) RebuildSchedule();
+    while (!wm_heap_.empty()) {
+      const auto [at, q] = wm_heap_.front();
+      if (q_wm_wakeup_[q] == at &&
+          queries_[q].wf->NextWatermarkWakeup() == at) {
+        break;
+      }
+      PopHeap(&wm_heap_);
+      if (q_wm_wakeup_[q] != at) continue;  // stale
+      q_wm_wakeup_[q] = kMaxTimestamp;
+      ArmWatermark(q);
+    }
+    if (!always_wm_queries_.empty()) return kMinTimestamp;
+    return wm_heap_.empty() ? kMaxTimestamp : wm_heap_.front().first;
   }
 
   const AggStats& stats() const override {
@@ -523,21 +566,31 @@ class SlicingAggregator : public WindowAggregator<Agg> {
         wakeup_threshold_ = std::min(wakeup_threshold_, we);
       }
     }
-    const Timestamp ww = wf->NextWatermarkWakeup();
-    if (ww != q_wm_wakeup_[q]) {
-      if (q_wm_wakeup_[q] == kMinTimestamp) {
-        SortedErase(&always_wm_queries_, q);
-      }
-      q_wm_wakeup_[q] = ww;
-      if (ww == kMinTimestamp) {
-        SortedInsert(&always_wm_queries_, q);
-      } else if (ww != kMaxTimestamp) {
-        PushHeap(&wm_heap_, ww, q);
-      }
-    }
+    ArmWatermark(q);
     if (q_elem_wakeup_[q] != kMinTimestamp && (was_always || force_needed)) {
       const Timestamp need = wf->OldestNeededBegin();
       if (need != kMaxTimestamp) PushHeap(&needed_heap_, need, q);
+    }
+  }
+
+  /// Watermark channel of ArmQuery. A wakeup that moved *later* keeps the
+  /// armed (earlier) heap entry: when it surfaces, OnWatermark or NextDue
+  /// re-arms it at the function's current wakeup. A session's wakeup moves
+  /// with every element, so this is one heap push per popped entry instead
+  /// of one per element.
+  void ArmWatermark(size_t q) {
+    const Timestamp ww = queries_[q].wf->NextWatermarkWakeup();
+    const Timestamp armed = q_wm_wakeup_[q];
+    if (ww == armed) return;
+    if (armed != kMinTimestamp && armed != kMaxTimestamp && ww > armed) {
+      return;
+    }
+    if (armed == kMinTimestamp) SortedErase(&always_wm_queries_, q);
+    q_wm_wakeup_[q] = ww;
+    if (ww == kMinTimestamp) {
+      SortedInsert(&always_wm_queries_, q);
+    } else if (ww != kMaxTimestamp) {
+      PushHeap(&wm_heap_, ww, q);
     }
   }
 
@@ -751,7 +804,9 @@ class SlicingAggregator : public WindowAggregator<Agg> {
   // entries; an entry is live iff its value matches the id's armed wakeup
   // (q_elem_wakeup_/q_wm_wakeup_/g_elem_wakeup_), stale entries are skipped
   // on pop. kMinTimestamp = member of the matching always-poll list;
-  // kMaxTimestamp = unscheduled (detached slot or no future event).
+  // kMaxTimestamp = unscheduled (detached slot, or no event before the end
+  // of the stream). A q_wm_wakeup_ value may lag behind the function's
+  // wakeup (ArmWatermark re-arms lazily), never run ahead of it.
   bool sched_valid_ = false;
   Timestamp wakeup_threshold_ = kMinTimestamp;
   std::vector<HeapEntry> elem_heap_;

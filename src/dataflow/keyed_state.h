@@ -124,6 +124,13 @@ class KeyedState {
   const_iterator end() const { return map_.end(); }
   V* Find(uint64_t hash, const Value& key) { return map_.Find(hash, key); }
 
+  /// Entries by insertion position. A position stays valid across inserts;
+  /// an Erase moves the last entry into the hole.
+  Entry& EntryAt(size_t pos) { return map_.begin()[pos]; }
+  size_t PositionOf(const Entry& entry) const {
+    return static_cast<size_t>(&entry - map_.begin());
+  }
+
   // -- mutators: each records itself in the changelog ----------------------
 
   /// Returns (entry, inserted) for `key`, inserting `args`-constructed V
@@ -143,8 +150,8 @@ class KeyedState {
     return map_.Erase(it);
   }
 
-  /// Marks a key whose value was mutated in place (or whose mutation a
-  /// fingerprint detected) for re-serialization in the next delta.
+  /// Marks a key whose value was mutated in place for re-serialization in
+  /// the next delta.
   void Touch(const Value& key, uint64_t hash) { changelog_.Upsert(key, hash); }
   void Touch(const Entry& entry) { Touch(entry.first, HashOf(entry)); }
 
@@ -249,7 +256,7 @@ class KeyedState {
 
  private:
   uint64_t HashOf(const Entry& entry) const {
-    return map_.hash_at(static_cast<size_t>(&entry - map_.begin()));
+    return map_.hash_at(PositionOf(entry));
   }
 
   template <typename... Args>

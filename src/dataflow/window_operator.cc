@@ -41,6 +41,11 @@ WindowAggOperator::~WindowAggOperator() {
 Status WindowAggOperator::Open(const OperatorContext& ctx) {
   subtask_index_ = ctx.subtask_index;
   keys_.BindGauges(ctx);
+  if (ctx.metrics != nullptr) {
+    keys_visited_ = ctx.metrics->GetCounter(
+        "op." + name_ + "." + std::to_string(ctx.subtask_index) +
+        ".wm.keys_visited");
+  }
   if (spec_.registry != nullptr) {
     if (spec_.backend != WindowBackend::kShared) {
       return Status::InvalidArgument(
@@ -269,6 +274,21 @@ void WindowAggOperator::ProcessWatermark(Timestamp wm, Collector* out) {
     if (wm <= current_wm_) return;
   }
   current_wm_ = std::max(current_wm_, wm);
+  if (!index_valid_) RebuildIndex();
+  ++wm_stamp_;
+  visits_.clear();
+  ApplyCoveredRecords(wm);
+  ScheduleDueKeys(wm);
+  AdvanceVisitedKeys(wm);
+  // Attach/detach commands apply here -- the end of a watermark is a
+  // deterministic point of the event-time order, so every subtask (and any
+  // checkpoint replay) splices queries in at the same place.
+  DrainRegistryCommands();
+  keys_.UpdateGauges();
+  current_out_ = nullptr;
+}
+
+void WindowAggOperator::ApplyCoveredRecords(Timestamp wm) {
   // Pop exactly the records this watermark covers, in (ts, arrival) order;
   // they can no longer be preceded by anything. Records still ahead of the
   // watermark never move -- the common stall (one slow input channel
@@ -308,7 +328,10 @@ void WindowAggOperator::ProcessWatermark(Timestamp wm, Collector* out) {
     Value key;
     uint64_t hash;
     resolve_key(record, &key, &hash);
-    KeyState* ks = &keys_.Emplace(key, hash).first->second;
+    auto& entry = *keys_.Emplace(key, hash).first;
+    KeyState* ks = &entry.second;
+    // Emplace already logged the upsert: no Touch needed.
+    ScheduleVisit(keys_.PositionOf(entry), ks, /*touch=*/false);
     if (!can_batch) {
       ApplyElement(key, ks, record);
       ++applied;
@@ -346,27 +369,55 @@ void WindowAggOperator::ProcessWatermark(Timestamp wm, Collector* out) {
     applied = j;
   }
   apply_scratch_.clear();
-  // Advance every key's window clock: sessions and periodic windows fire on
-  // time progress even for keys with no new records. When the changelog is
-  // on, a fingerprint comparison catches keys the watermark mutated (fired
-  // windows, evicted slices) so the next delta re-serializes them.
-  const bool incremental = keys_.incremental();
-  for (auto& entry : keys_) {
-    auto& [key, ks] = entry;
-    if (!incremental) {
-      AdvanceKeyWatermark(key, &ks, wm);
-      continue;
+}
+
+void WindowAggOperator::ScheduleDueKeys(Timestamp wm) {
+  // Besides the applied keys (their slicers owe an eviction), advance the
+  // keys whose window clock is due: sessions and periodic windows fire on
+  // time progress even for keys with no new records.
+  if (wm == kMaxTimestamp) {
+    // End of stream: every key may owe a flush (punctuation and delta
+    // windows are due only now). Visiting all keys also rebuilds the index.
+    due_index_.clear();
+    visits_.clear();
+    for (size_t pos = 0; pos < keys_.size(); ++pos) {
+      KeyState& ks = keys_.EntryAt(pos).second;
+      ks.armed_due = kMaxTimestamp;
+      visits_.push_back(Visit{pos, ks.visit_stamp != wm_stamp_});
     }
-    const std::array<uint64_t, 4> before = KeyFingerprint(ks);
-    AdvanceKeyWatermark(key, &ks, wm);
-    if (KeyFingerprint(ks) != before) keys_.Touch(entry);
+  } else {
+    while (!due_index_.empty() && due_index_.front().first <= wm) {
+      const auto [due, pos] = due_index_.front();
+      std::pop_heap(due_index_.begin(), due_index_.end(), std::greater<>());
+      due_index_.pop_back();
+      KeyState& ks = keys_.EntryAt(pos).second;
+      if (ks.armed_due != due) continue;  // stale: re-armed earlier
+      ks.armed_due = kMaxTimestamp;
+      if (ks.visit_stamp == wm_stamp_) continue;  // applied: visited anyway
+      if (ks.next_due > wm) {
+        ArmKey(pos, &ks);  // the due moved later since it was armed
+        continue;
+      }
+      ScheduleVisit(pos, &ks, /*touch=*/true);
+    }
+    std::sort(visits_.begin(), visits_.end());
   }
-  // Attach/detach commands apply here -- the end of a watermark is a
-  // deterministic point of the event-time order, so every subtask (and any
-  // checkpoint replay) splices queries in at the same place.
-  DrainRegistryCommands();
-  keys_.UpdateGauges();
-  current_out_ = nullptr;
+}
+
+void WindowAggOperator::AdvanceVisitedKeys(Timestamp wm) {
+  // A popped key always changes when it advances (it fires or closes a
+  // session), so a visit is a mutation.
+  const bool incremental = keys_.incremental();
+  for (const Visit& v : visits_) {
+    auto& entry = keys_.EntryAt(v.pos);
+    if (v.touch && incremental) keys_.Touch(entry);
+    KeyState* ks = &entry.second;
+    AdvanceKeyWatermark(entry.first, ks, wm);
+    ks->next_due = KeyNextDue(ks);
+    ArmKey(v.pos, ks);
+    AccountSlices(ks);
+  }
+  if (keys_visited_ != nullptr) keys_visited_->Increment(visits_.size());
 }
 
 void WindowAggOperator::DrainRegistryCommands() {
@@ -391,13 +442,15 @@ void WindowAggOperator::DrainRegistryCommands() {
       applied_seq_ = cmd.seq;
     }
     // A command changes every key's slot layout (and therefore its
-    // serialized bytes): re-serialize them all in the next delta.
+    // serialized bytes): re-serialize them all in the next delta. It also
+    // moves due times (an attach may be due at once) and frees slices.
     if (keys_.incremental()) {
       for (const auto& entry : keys_) keys_.Touch(entry);
     }
+    RebuildIndex();
   }
   reg->AckApplied(name_ + ":" + std::to_string(subtask_index_), applied_seq_,
-                  TotalStoredSlices(), slices_freed);
+                  stored_slices_, slices_freed);
 }
 
 WindowAggOperator::SharedAgg::ResultCallback
@@ -461,12 +514,56 @@ size_t WindowAggOperator::StandaloneIndexOfDyn(size_t index) const {
   return sidx;
 }
 
-uint64_t WindowAggOperator::TotalStoredSlices() const {
-  uint64_t total = 0;
-  for (const auto& [key, ks] : keys_) {
-    if (ks.shared) total += ks.shared->stored_slices();
+Timestamp WindowAggOperator::KeyNextDue(KeyState* ks) {
+  Timestamp due = kMaxTimestamp;
+  // Open windows are sorted by (end, start): the front ends first.
+  const auto earliest_end = [&due](const auto& open) {
+    if (!open.empty()) due = std::min(due, open.front().first.end);
+  };
+  if (ks->shared) {
+    due = ks->shared->NextDue();
+    for (const StandaloneState& ss : ks->standalone) earliest_end(ss.open);
+  } else {
+    for (const EagerQueryState& qs : ks->eager) earliest_end(qs.open);
   }
-  return total;
+  return due;
+}
+
+void WindowAggOperator::ArmKey(size_t pos, KeyState* ks) {
+  // A due that did not move, or moved later, keeps the live entry: no
+  // stale entry per key per watermark.
+  if (ks->next_due >= ks->armed_due) return;
+  ks->armed_due = ks->next_due;
+  due_index_.emplace_back(ks->armed_due, pos);
+  std::push_heap(due_index_.begin(), due_index_.end(), std::greater<>());
+}
+
+void WindowAggOperator::ScheduleVisit(size_t pos, KeyState* ks, bool touch) {
+  if (ks->visit_stamp == wm_stamp_) return;
+  ks->visit_stamp = wm_stamp_;
+  visits_.push_back(Visit{pos, touch});
+}
+
+void WindowAggOperator::AccountSlices(KeyState* ks) {
+  if (!ks->shared) return;
+  const size_t now = ks->shared->stored_slices();
+  stored_slices_ += now - ks->slices;  // modular: the total stays exact
+  ks->slices = now;
+}
+
+void WindowAggOperator::RebuildIndex() {
+  due_index_.clear();
+  stored_slices_ = 0;
+  for (size_t pos = 0; pos < keys_.size(); ++pos) {
+    KeyState& ks = keys_.EntryAt(pos).second;
+    ks.next_due = KeyNextDue(&ks);
+    ks.armed_due = ks.next_due;
+    if (ks.next_due != kMaxTimestamp) due_index_.emplace_back(ks.next_due, pos);
+    ks.slices = 0;
+    AccountSlices(&ks);
+  }
+  std::make_heap(due_index_.begin(), due_index_.end(), std::greater<>());
+  index_valid_ = true;
 }
 
 void WindowAggOperator::OnEndOfInput(Collector* out) {
@@ -555,25 +652,6 @@ Status WindowAggOperator::RestoreKeyState(KeyState* ks, BinaryReader* r) {
     }
   }
   return Status::Ok();
-}
-
-std::array<uint64_t, 4> WindowAggOperator::KeyFingerprint(
-    const KeyState& ks) const {
-  if (spec_.backend == WindowBackend::kShared) {
-    const AggStats& s = ks.shared->stats();
-    uint64_t standalone_open = 0;
-    for (const StandaloneState& ss : ks.standalone) {
-      standalone_open += ss.open.size();
-    }
-    // Standalone fires erase open windows; either count moving means the
-    // watermark mutated this key's standalone state.
-    return {s.fires, s.slices_created,
-            static_cast<uint64_t>(ks.shared->stored_slices()),
-            (ks.standalone_fires << 32) ^ standalone_open};
-  }
-  uint64_t open = 0;
-  for (const EagerQueryState& qs : ks.eager) open += qs.open.size();
-  return {open, 0, 0, 0};
 }
 
 void WindowAggOperator::WriteMeta(BinaryWriter* w) const {
@@ -720,6 +798,7 @@ Status WindowAggOperator::SnapshotState(BinaryWriter* w) const {
 }
 
 Status WindowAggOperator::RestoreState(BinaryReader* r) {
+  index_valid_ = false;
   STREAMLINE_RETURN_IF_ERROR(ReadMeta(r, /*replay=*/false));
   return keys_.RestoreState(r);
 }
@@ -737,6 +816,7 @@ Status WindowAggOperator::SnapshotDelta(ChangelogSink* sink) {
 }
 
 Status WindowAggOperator::ApplyDelta(BinaryReader* r) {
+  index_valid_ = false;
   auto tag = r->ReadU8();
   if (!tag.ok()) return tag.status();
   if (*tag == kDeltaMetaTag) return ReadMeta(r, /*replay=*/true);

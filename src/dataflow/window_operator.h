@@ -2,7 +2,6 @@
 #define STREAMLINE_DATAFLOW_WINDOW_OPERATOR_H_
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -150,6 +149,17 @@ struct WindowAggSpec {
 /// them, then applied in timestamp order -- so upstream parallelism (which
 /// interleaves channels arbitrarily) never breaks window contents.
 ///
+/// Watermark cost is proportional to the keys that are due, not to every
+/// key ever seen: each key publishes a next-due watermark (its slicer's
+/// NextDue, or its earliest open eager/standalone window end) into an
+/// operator-level timer index. A watermark advances the keys that received
+/// records in its apply (their slicer owes an eviction) and the keys the
+/// index pops as due, in ascending entry position -- the order a walk over
+/// every key would emit in. A popped key always fires when it advances, so
+/// every visited key is marked dirty for the next checkpoint delta. A key
+/// whose windows are all empty is not due until its next record. The
+/// end-of-stream watermark is the one that advances every key.
+///
 /// Output records: [key, window_start, window_end, query_index, result]
 /// with timestamp = window_end - 1 (the last instant inside the window),
 /// so downstream windowed consumers see results in the period they
@@ -223,6 +233,21 @@ class WindowAggOperator : public Operator {
     // Registry-attached standalone queries (kShared backend only).
     std::vector<StandaloneState> standalone;
     uint64_t standalone_fires = 0;
+    // Timer-index bookkeeping: derived state, never serialized. Kept here,
+    // in the entry the index pops, so deciding whether a popped key is due
+    // touches no aggregation state.
+    /// KeyNextDue as of the key's last visit (exact: only a visit, a
+    /// restore or a registry command changes a key).
+    Timestamp next_due = kMaxTimestamp;
+    /// Due of this key's live index entry (kMaxTimestamp: none), at most
+    /// next_due: a due that moved later keeps the entry, which re-arms
+    /// when it pops.
+    Timestamp armed_due = kMaxTimestamp;
+    /// Watermark stamp of the last watermark that scheduled this key's
+    /// visit (applied records or popped as due).
+    uint64_t visit_stamp = 0;
+    /// Stored slices last added to stored_slices_.
+    size_t slices = 0;
   };
 
   /// KeyedState codec: a key's layout and bytes follow the spec and the
@@ -245,14 +270,6 @@ class WindowAggOperator : public Operator {
   void AdvanceKeyWatermark(const Value& key, KeyState* ks, Timestamp wm);
   void SnapshotKeyState(const KeyState& ks, BinaryWriter* w) const;
   Status RestoreKeyState(KeyState* ks, BinaryReader* r);
-  /// Cheap serialized-state fingerprint used to detect keys mutated by a
-  /// watermark advance (window fires, slice eviction) without walking the
-  /// aggregation state. Shared backend: any firing bumps stats().fires, any
-  /// slice churn moves slices_created or the store size, and every other
-  /// OnWatermark-reachable mutation is gated on one of those. Eager
-  /// backend: EagerFire only erases, so the total open-window count
-  /// strictly decreases whenever anything fired.
-  std::array<uint64_t, 4> KeyFingerprint(const KeyState& ks) const;
   void EmitResult(const Value& key, size_t query, const Window& w,
                   const Value& result);
   void EagerFire(const Value& key, KeyState* ks, Timestamp wm);
@@ -277,7 +294,30 @@ class WindowAggOperator : public Operator {
   size_t StandaloneIndexOfDyn(size_t index) const;
   void FoldStandalone(const Value& key, KeyState* ks, const Record& record);
   void FireStandalone(const Value& key, KeyState* ks, Timestamp wm);
-  uint64_t TotalStoredSlices() const;
+
+  // -- one watermark, in order ----------------------------------------------
+  /// Pops the records `wm` covers off the reorder buffer and applies them,
+  /// scheduling each key they touch for a visit.
+  void ApplyCoveredRecords(Timestamp wm);
+  /// Schedules the keys the timer index pops as due (every key at end of
+  /// stream) and sorts the visits into entry order.
+  void ScheduleDueKeys(Timestamp wm);
+  /// Advances, marks dirty and re-arms every scheduled key.
+  void AdvanceVisitedKeys(Timestamp wm);
+
+  // -- timer index ----------------------------------------------------------
+  /// The earliest watermark at which advancing this key could emit or change
+  /// its state (kMaxTimestamp: only the end of the stream).
+  Timestamp KeyNextDue(KeyState* ks);
+  /// Pushes an index entry when next_due is earlier than the live one.
+  void ArmKey(size_t pos, KeyState* ks);
+  /// Schedules the visit of the key at `pos` in this watermark (once).
+  void ScheduleVisit(size_t pos, KeyState* ks, bool touch);
+  /// Adds the key's stored-slice change to stored_slices_.
+  void AccountSlices(KeyState* ks);
+  /// The one loop over all keys: re-arms every key and recounts
+  /// stored_slices_. Runs after restore, delta replay and registry commands.
+  void RebuildIndex();
   /// Operator-wide prefix of both the full snapshot and the kDeltaMeta
   /// record: watermark, arrival sequence, dyn-query table, reorder buffer.
   void WriteMeta(BinaryWriter* w) const;
@@ -336,6 +376,23 @@ class WindowAggOperator : public Operator {
   MetricsRegistry* bound_metrics_ = nullptr;
 
   KeyedState<KeyState, KeyCodec> keys_;
+
+  // Timer index: min-heap of (due watermark, entry position), lazily
+  // invalidated -- an entry is live iff it equals its key's armed_due.
+  using DueEntry = std::pair<Timestamp, size_t>;
+  std::vector<DueEntry> due_index_;
+  bool index_valid_ = true;
+  uint64_t wm_stamp_ = 0;
+  struct Visit {
+    size_t pos;
+    bool touch;  // dirty for the changelog (applied keys already are)
+    bool operator<(const Visit& o) const { return pos < o.pos; }
+  };
+  // Keys the current watermark advances; capacity persists.
+  std::vector<Visit> visits_;
+  // Slices held by all keys' shared stores (acked to the registry).
+  uint64_t stored_slices_ = 0;
+  Counter* keys_visited_ = nullptr;
   // Hash of the synthetic key used when spec_.key is null (global windows);
   // computed on first use (KeyHashOf never returns 0).
   uint64_t global_key_hash_ = 0;

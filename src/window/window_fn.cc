@@ -99,7 +99,10 @@ void SlidingWindowFn::OnElement(Timestamp ts, const Value& payload,
 
 void SlidingWindowFn::OnWatermark(Timestamp wm, WindowEvents* out) {
   // Begins are declared lazily by the elements themselves; a watermark can
-  // only complete windows.
+  // only complete windows. Below the wakeup it changes nothing: an idle
+  // function keeps its next end until the next element skips the empty
+  // windows (FireEndsUpTo from OnElement).
+  if (wm < NextWatermarkWakeup()) return;
   FireEndsUpTo(wm, out);
 }
 
@@ -120,9 +123,11 @@ Timestamp SlidingWindowFn::NextWakeup() const {
 }
 
 Timestamp SlidingWindowFn::NextWatermarkWakeup() const {
-  // Watermarks only complete windows (begins are element-declared), and
-  // before the first element there is nothing to complete.
-  if (!saw_element_) return kMaxTimestamp;
+  // Watermarks only complete windows (begins are element-declared). Before
+  // the first element, and while the next window to fire begins after the
+  // last element (it and every later window are empty until an element
+  // arrives, see FireEndsUpTo), there is nothing to complete.
+  if (!saw_element_ || next_end_ - range_ > last_seen_) return kMaxTimestamp;
   return next_end_;
 }
 
@@ -223,6 +228,14 @@ void SessionWindowFn::OnWatermark(Timestamp wm, WindowEvents* out) {
 
 Timestamp SessionWindowFn::OldestNeededBegin() const {
   return open_ ? session_start_ : kMaxTimestamp;
+}
+
+Timestamp SessionWindowFn::NextWatermarkWakeup() const {
+  // OnWatermark closes the session once wm - session_last_ > gap_.
+  if (!open_ || session_last_ >= kMaxTimestamp - gap_ - 1) {
+    return kMaxTimestamp;
+  }
+  return session_last_ + gap_ + 1;
 }
 
 std::unique_ptr<WindowFunction> SessionWindowFn::Clone() const {

@@ -94,8 +94,8 @@ class WindowFunction {
   /// could emit an event. Elements with ts strictly below it may bypass
   /// OnElement/AfterElement entirely -- this is what makes the shared
   /// slicer's per-record cost independent of the number of registered
-  /// periodic queries. Data-driven windows (sessions, count, punctuation)
-  /// keep the default kMinTimestamp ("always call me").
+  /// periodic queries. Data-driven windows (sessions, count, punctuation,
+  /// delta) keep the default kMinTimestamp ("always call me").
   ///
   /// Contract for functions that publish a real wakeup (periodic windows):
   /// OldestNeededBegin() must be non-decreasing over the function's
@@ -104,11 +104,19 @@ class WindowFunction {
   /// (kMinTimestamp) functions are re-scanned eagerly and may move freely.
   virtual Timestamp NextWakeup() const { return kMinTimestamp; }
 
-  /// Watermark twin of NextWakeup: the earliest watermark at which this
-  /// function could emit an event from OnWatermark. Watermarks below it may
-  /// skip OnWatermark. Periodic functions return their next window end
-  /// (begins are declared by elements, never by watermarks); data-driven
-  /// windows keep the default kMinTimestamp.
+  /// Watermark twin of NextWakeup: the earliest watermark at which
+  /// OnWatermark could emit an event or change the function's state.
+  /// Watermarks below it may skip OnWatermark -- the slicer and the window
+  /// operator advance only the functions (and keys) that are due. Every
+  /// built-in function is exact -- a watermark at or past a finite wakeup
+  /// emits: periodic windows return their next window end while that
+  /// window holds an element (begins are declared by elements, never by
+  /// watermarks), an open session the first watermark past its gap, and
+  /// idle periodic windows, count, punctuation and delta windows
+  /// kMaxTimestamp ("not before the next element or the end of stream";
+  /// the kMaxTimestamp watermark is due for every function). The default
+  /// kMinTimestamp ("call me on every watermark") keeps user-defined
+  /// functions correct.
   virtual Timestamp NextWatermarkWakeup() const { return kMinTimestamp; }
 
   /// Fast-forwards a freshly constructed function to a mid-stream attach
@@ -195,6 +203,7 @@ class SessionWindowFn : public WindowFunction {
                  WindowEvents* out) override;
   void OnWatermark(Timestamp wm, WindowEvents* out) override;
   Timestamp OldestNeededBegin() const override;
+  Timestamp NextWatermarkWakeup() const override;
   std::unique_ptr<WindowFunction> Clone() const override;
   void SnapshotState(BinaryWriter* w) const override;
   Status RestoreState(BinaryReader* r) override;
@@ -224,6 +233,8 @@ class CountWindowFn : public WindowFunction {
                     WindowEvents* out) override;
   void OnWatermark(Timestamp wm, WindowEvents* out) override;
   Timestamp OldestNeededBegin() const override;
+  /// Count windows complete on data, never on time.
+  Timestamp NextWatermarkWakeup() const override { return kMaxTimestamp; }
   std::unique_ptr<WindowFunction> Clone() const override;
   void SnapshotState(BinaryWriter* w) const override;
   Status RestoreState(BinaryReader* r) override;
@@ -251,6 +262,8 @@ class PunctuationWindowFn : public WindowFunction {
                  WindowEvents* out) override;
   void OnWatermark(Timestamp wm, WindowEvents* out) override;
   Timestamp OldestNeededBegin() const override;
+  /// Only the end of the stream closes a window early.
+  Timestamp NextWatermarkWakeup() const override { return kMaxTimestamp; }
   std::unique_ptr<WindowFunction> Clone() const override;
   void SnapshotState(BinaryWriter* w) const override;
   Status RestoreState(BinaryReader* r) override;
@@ -276,6 +289,8 @@ class DeltaWindowFn : public WindowFunction {
                  WindowEvents* out) override;
   void OnWatermark(Timestamp wm, WindowEvents* out) override;
   Timestamp OldestNeededBegin() const override;
+  /// Only the end of the stream closes a window early.
+  Timestamp NextWatermarkWakeup() const override { return kMaxTimestamp; }
   std::unique_ptr<WindowFunction> Clone() const override;
   void SnapshotState(BinaryWriter* w) const override;
   Status RestoreState(BinaryReader* r) override;

@@ -314,7 +314,7 @@ void RunWindowAggByteIdentity(WindowBackend backend) {
 
   // Delta epochs: more records, watermark advances (window fires and slice
   // eviction mutate key state without any ProcessRecord touching the key --
-  // the fingerprint-based dirty detection must catch them), and records
+  // every key the watermark advances must be marked dirty), and records
   // left buffered in the reorder heap (meta record coverage).
   std::vector<std::vector<std::string>> segments;
   for (int epoch = 0; epoch < 3; ++epoch) {
@@ -353,6 +353,46 @@ TEST(IncrementalByteIdentityTest, WindowAggSharedBackend) {
 
 TEST(IncrementalByteIdentityTest, WindowAggEagerBackend) {
   RunWindowAggByteIdentity(WindowBackend::kEager);
+}
+
+// With windows [b, b+40) every 10 and one element at ts 5, watermark 40
+// fires the last non-empty window and watermark 60 passes the end of the
+// empty window [10, 50) without firing anything or changing any slice
+// count. A watermark that changes the key there (moving the window end it
+// waits for from 50 to 70) must put it in the delta; one that leaves it
+// alone keeps recovery trivially exact. Either way the recovered bytes must
+// be the live ones.
+TEST(IncrementalByteIdentityTest, SilentSlidingAdvanceIsInDelta) {
+  auto make = []() {
+    WindowAggSpec spec;
+    spec.key = [](const Record& r) { return r.field(0); };
+    spec.value_field = 1;
+    spec.windows = {std::make_shared<SlidingWindowFn>(40, 10)};
+    return std::make_unique<WindowAggOperator>("w", std::move(spec));
+  };
+  auto live = make();
+  ASSERT_TRUE(live->Open(OperatorContext{}).ok());
+  live->EnableIncrementalState();
+
+  CaptureCollector out;
+  live->ProcessRecord(0, KV(5, 1, 1), &out);
+  live->ProcessWatermark(6, &out);
+  const std::string base = SnapshotBytes(*live);
+  live->ResetDelta();
+
+  std::vector<std::vector<std::string>> segments;
+  for (Timestamp wm : {40, 60}) {
+    live->ProcessWatermark(wm, &out);
+    CaptureSink seg;
+    ASSERT_TRUE(live->SnapshotDelta(&seg).ok());
+    segments.push_back(std::move(seg.records));
+  }
+  EXPECT_EQ(out.records.size(), 4u);  // the windows ending 10, 20, 30, 40
+
+  auto recovered = make();
+  ASSERT_TRUE(recovered->Open(OperatorContext{}).ok());
+  RestoreAndReplay(base, segments, recovered.get());
+  EXPECT_EQ(SnapshotBytes(*recovered), SnapshotBytes(*live));
 }
 
 TEST(IncrementalByteIdentityTest, IntervalJoinWithErasesAndPhantoms) {

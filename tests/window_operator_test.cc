@@ -276,5 +276,49 @@ TEST(WindowOperatorTest, SharedStatsReportConstantWorkPerRecord) {
   EXPECT_EQ(stats.partial_updates, stats.elements);  // Cutty's property
 }
 
+// A watermark advances only the keys that received records or are due, and
+// op.<name>.<subtask>.wm.keys_visited counts them.
+TEST(WindowOperatorTest, KeysVisitedCountsOnlyAppliedAndDueKeys) {
+  MetricsRegistry metrics;
+  OperatorContext ctx;
+  ctx.subtask_index = 2;
+  ctx.metrics = &metrics;
+  WindowAggSpec spec;
+  spec.key = KeyField(0);
+  spec.value_field = 1;
+  spec.windows = {std::make_shared<TumblingWindowFn>(10)};
+  WindowAggOperator op("w", spec);
+  ASSERT_TRUE(op.Open(ctx).ok());
+  const Counter* visited = metrics.GetCounter("op.w.2.wm.keys_visited");
+  std::vector<Record> results;
+  VectorCollector out(&results);
+  const auto record = [&](Timestamp ts, int64_t key) {
+    op.ProcessRecord(0, MakeRecord(ts, Value(key), Value(1.0)), &out);
+  };
+
+  record(1, 1);
+  record(2, 2);
+  record(3, 3);
+  op.ProcessWatermark(5, &out);  // applies all three keys; none due (end 10)
+  EXPECT_EQ(visited->value(), 3u);
+  op.ProcessWatermark(8, &out);  // nothing applied, nothing due
+  EXPECT_EQ(visited->value(), 3u);
+  record(9, 1);
+  op.ProcessWatermark(12, &out);  // key 1 applied; all three due at 10
+  EXPECT_EQ(visited->value(), 6u);
+  EXPECT_EQ(results.size(), 3u);
+  // Every key's next window [10, 20) is empty: none is due until it gets
+  // another record.
+  op.ProcessWatermark(15, &out);
+  EXPECT_EQ(visited->value(), 6u);
+  record(16, 2);
+  op.ProcessWatermark(25, &out);  // only key 2, applied and firing
+  EXPECT_EQ(visited->value(), 7u);
+  EXPECT_EQ(results.size(), 4u);
+  op.ProcessWatermark(kMaxTimestamp, &out);  // end of stream: every key
+  EXPECT_EQ(visited->value(), 10u);
+  EXPECT_EQ(results.size(), 4u);
+}
+
 }  // namespace
 }  // namespace streamline
