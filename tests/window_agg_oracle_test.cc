@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -168,10 +167,6 @@ class ReferenceWindowAgg {
     out_->push_back(std::move(out));
   }
 
-  static const SlidingWindowFn& Periodic(const WindowFunction& wf) {
-    return dynamic_cast<const SlidingWindowFn&>(wf);
-  }
-
   Key* KeyFor(const Value& key) {
     for (Key& k : keys_) {
       if (k.key == key) return &k;
@@ -206,7 +201,8 @@ class ReferenceWindowAgg {
     const DynPartial lifted = adapter_.dyn.Lift(value, record.timestamp);
     if (!k->shared) {
       for (size_t q = 0; q < spec_.windows.size(); ++q) {
-        const SlidingWindowFn& wf = Periodic(*spec_.windows[q]);
+        const auto& wf =
+            dynamic_cast<const SlidingWindowFn&>(*spec_.windows[q]);
         FoldIntoWindows(adapter_, wf.range(), wf.slide(), wf.origin(),
                         record.timestamp, kMinTimestamp, lifted,
                         &k->eager[q]);
