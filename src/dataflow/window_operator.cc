@@ -15,12 +15,6 @@ Result<DynPartial> DeserializeDynPartial(BinaryReader* r) {
   return DynAggregate::DeserializePartial(r);
 }
 
-Timestamp FloorToGrid(Timestamp ts, Timestamp origin, Duration step) {
-  const Timestamp d = ts - origin;
-  const Timestamp q = d >= 0 ? d / step : (d - step + 1) / step;
-  return origin + q * step;
-}
-
 }  // namespace
 
 WindowAggOperator::WindowAggOperator(std::string name, WindowAggSpec spec)
@@ -58,14 +52,21 @@ Status WindowAggOperator::Open(const OperatorContext& ctx) {
   }
   if (spec_.backend == WindowBackend::kEager) {
     // Eager per-window state supports periodic windows only (matching the
-    // systems it models); verify the prototypes up front.
-    for (const auto& proto : spec_.windows) {
-      if (dynamic_cast<const SlidingWindowFn*>(proto.get()) == nullptr) {
+    // systems it models): every spec window becomes an open-window slot.
+    open_slots_.clear();
+    for (size_t q = 0; q < spec_.windows.size(); ++q) {
+      const auto* sliding =
+          dynamic_cast<const SlidingWindowFn*>(spec_.windows[q].get());
+      if (sliding == nullptr) {
         return Status::InvalidArgument(
             "eager window backend supports periodic windows only, got " +
-            proto->Name());
+            spec_.windows[q]->Name());
       }
+      open_slots_.push_back(OpenWindowSlot{sliding->range(), sliding->slide(),
+                                           sliding->origin(), kMinTimestamp,
+                                           q, true});
     }
+    active_slots_ = open_slots_.size();
   }
   return Status::Ok();
 }
@@ -88,28 +89,15 @@ void WindowAggOperator::InitKeyState(const Value& key, KeyState* ks) {
     // element (the key has no earlier history to miss); detached entries
     // still allocate their slot so the layout matches the table.
     for (const DynQuery& dq : dyn_queries_) {
-      if (dq.placement == QueryPlacement::kShared) {
-        const size_t slot = ks->shared->AddQuery(
-            std::make_unique<SlidingWindowFn>(dq.desc.range, dq.desc.slide,
-                                              dq.desc.origin),
-            DynResultCallback(key, dq.id));
-        if (!dq.active) ks->shared->DetachQuery(slot);
-      } else {
-        ks->standalone.emplace_back();
-      }
-    }
-  } else {
-    for (const auto& proto : spec_.windows) {
-      EagerQueryState qs;
-      qs.wf = proto->Clone();
-      const auto* sliding = dynamic_cast<const SlidingWindowFn*>(qs.wf.get());
-      STREAMLINE_CHECK(sliding != nullptr);
-      qs.range = sliding->range();
-      qs.slide = sliding->slide();
-      qs.origin = sliding->origin();
-      ks->eager.push_back(std::move(qs));
+      if (dq.placement != QueryPlacement::kShared) continue;
+      const size_t slot = ks->shared->AddQuery(
+          std::make_unique<SlidingWindowFn>(dq.desc.range, dq.desc.slide,
+                                            dq.desc.origin),
+          DynResultCallback(key, dq.id));
+      if (!dq.active) ks->shared->DetachQuery(slot);
     }
   }
+  ks->open.resize(open_slots_.size());
 }
 
 void WindowAggOperator::EmitResult(const Value& key, size_t query,
@@ -153,115 +141,67 @@ void WindowAggOperator::ProcessBatch(int, std::vector<Record>&& batch,
   batch.clear();
 }
 
-void WindowAggOperator::ApplyElement(const Value& key, KeyState* ks,
-                                     const Record& record) {
-  (void)key;
-  if (spec_.backend == WindowBackend::kShared) {
+void WindowAggOperator::ApplyElement(KeyState* ks, const Record& record) {
+  if (ks->shared) {
     DynAggAdapter::Input in{record.field(spec_.value_field),
                             record.timestamp};
     const Value payload = spec_.payload ? spec_.payload(record) : Value();
     ks->shared->OnElement(record.timestamp, in, payload);
-    if (active_standalone_ > 0) FoldStandalone(key, ks, record);
-    return;
   }
-  // Eager: fold the record into every open window of every query.
+  if (active_slots_ > 0) FoldOpenWindows(ks, record);
+}
+
+void WindowAggOperator::FoldOpenWindows(KeyState* ks, const Record& record) {
+  const Timestamp ts = record.timestamp;
   const DynPartial lifted =
-      adapter_.dyn.Lift(record.field(spec_.value_field), record.timestamp);
-  for (EagerQueryState& qs : ks->eager) {
-    const Timestamp ts = record.timestamp;
-    Timestamp b = qs.origin +
-                  ((ts - qs.origin) >= 0
-                       ? (ts - qs.origin) / qs.slide
-                       : ((ts - qs.origin) - qs.slide + 1) / qs.slide) *
-                      qs.slide;
-    for (; b > ts - qs.range; b -= qs.slide) {
-      if (b > ts) continue;
-      const Window w{b, b + qs.range};
+      adapter_.dyn.Lift(record.field(spec_.value_field), ts);
+  for (size_t s = 0; s < open_slots_.size(); ++s) {
+    const OpenWindowSlot& slot = open_slots_[s];
+    if (!slot.active) continue;
+    OpenWindows& open = ks->open[s];
+    // Latest grid begin at or before ts; walk back while the window still
+    // contains ts and begins at or after min_begin (with slide > range, a
+    // ts in a gap is in no window at all).
+    const Duration step = slot.slide;
+    const Timestamp d = ts - slot.origin;
+    Timestamp b =
+        slot.origin + (d >= 0 ? d / step : (d - step + 1) / step) * step;
+    for (; b > ts - slot.range && b >= slot.min_begin; b -= step) {
+      const Window w{b, b + slot.range};
       auto it = std::lower_bound(
-          qs.open.begin(), qs.open.end(), w,
+          open.begin(), open.end(), w,
           [](const auto& e, const Window& win) { return e.first < win; });
-      if (it == qs.open.end() || it->first != w) {
-        it = qs.open.insert(it, {w, adapter_.Identity()});
+      if (it == open.end() || it->first != w) {
+        it = open.insert(it, {w, adapter_.Identity()});
       }
       it->second = adapter_.Combine(it->second, lifted);
     }
   }
 }
 
-void WindowAggOperator::EagerFire(const Value& key, KeyState* ks,
-                                  Timestamp wm) {
-  for (size_t q = 0; q < ks->eager.size(); ++q) {
-    EagerQueryState& qs = ks->eager[q];
-    // Sorted by (end, start): the fired windows are a prefix.
+void WindowAggOperator::FireOpenWindows(const Value& key, KeyState* ks,
+                                        Timestamp wm) {
+  for (size_t s = 0; s < ks->open.size(); ++s) {
+    OpenWindows& open = ks->open[s];
+    // Sorted by (end, start): the fired windows are a prefix. Detached
+    // slots have no open windows (cleared at detach).
     size_t fired = 0;
-    while (fired < qs.open.size() && qs.open[fired].first.end <= wm) {
-      EmitResult(key, q, qs.open[fired].first,
-                 adapter_.Lower(qs.open[fired].second));
+    while (fired < open.size() && open[fired].first.end <= wm) {
+      EmitResult(key, static_cast<size_t>(open_slots_[s].query),
+                 open[fired].first, adapter_.Lower(open[fired].second));
       ++fired;
     }
-    qs.open.erase(qs.open.begin(), qs.open.begin() + fired);
+    if (fired > 0) {
+      ks->standalone_fires += fired;
+      open.erase(open.begin(), open.begin() + static_cast<ptrdiff_t>(fired));
+    }
   }
 }
 
 void WindowAggOperator::AdvanceKeyWatermark(const Value& key, KeyState* ks,
                                             Timestamp wm) {
-  if (spec_.backend == WindowBackend::kShared) {
-    ks->shared->OnWatermark(wm);
-    FireStandalone(key, ks, wm);
-  } else {
-    EagerFire(key, ks, wm);
-  }
-}
-
-void WindowAggOperator::FoldStandalone(const Value& key, KeyState* ks,
-                                       const Record& record) {
-  (void)key;
-  const DynPartial lifted =
-      adapter_.dyn.Lift(record.field(spec_.value_field), record.timestamp);
-  size_t sidx = 0;
-  for (const DynQuery& dq : dyn_queries_) {
-    if (dq.placement != QueryPlacement::kStandalone) continue;
-    StandaloneState& ss = ks->standalone[sidx++];
-    if (!dq.active) continue;
-    const Timestamp ts = record.timestamp;
-    Timestamp b = FloorToGrid(ts, dq.desc.origin, dq.desc.slide);
-    for (; b > ts - dq.desc.range; b -= dq.desc.slide) {
-      // Windows that began before the attach point would be missing the
-      // records applied before the query existed; serve only complete ones.
-      if (b > ts || b < dq.attach_wm) continue;
-      const Window w{b, b + dq.desc.range};
-      auto it = std::lower_bound(
-          ss.open.begin(), ss.open.end(), w,
-          [](const auto& e, const Window& win) { return e.first < win; });
-      if (it == ss.open.end() || it->first != w) {
-        it = ss.open.insert(it, {w, adapter_.Identity()});
-      }
-      it->second = adapter_.Combine(it->second, lifted);
-    }
-  }
-}
-
-void WindowAggOperator::FireStandalone(const Value& key, KeyState* ks,
-                                       Timestamp wm) {
-  if (ks->standalone.empty()) return;
-  size_t sidx = 0;
-  for (const DynQuery& dq : dyn_queries_) {
-    if (dq.placement != QueryPlacement::kStandalone) continue;
-    StandaloneState& ss = ks->standalone[sidx++];
-    // Sorted by (end, start): the fired windows are a prefix. Detached
-    // entries have no open windows (cleared at detach).
-    size_t fired = 0;
-    while (fired < ss.open.size() && ss.open[fired].first.end <= wm) {
-      EmitResult(key, static_cast<size_t>(dq.id), ss.open[fired].first,
-                 adapter_.Lower(ss.open[fired].second));
-      ++fired;
-    }
-    if (fired > 0) {
-      ks->standalone_fires += fired;
-      ss.open.erase(ss.open.begin(),
-                    ss.open.begin() + static_cast<ptrdiff_t>(fired));
-    }
-  }
+  if (ks->shared) ks->shared->OnWatermark(wm);
+  FireOpenWindows(key, ks, wm);
 }
 
 void WindowAggOperator::ProcessWatermark(Timestamp wm, Collector* out) {
@@ -320,8 +260,7 @@ void WindowAggOperator::ApplyCoveredRecords(Timestamp wm) {
   // point, so element order within and across keys is exactly the
   // per-element order (byte-identical output). Payload-carrying specs stay
   // per-element: the batch API carries no payloads.
-  const bool can_batch = spec_.backend == WindowBackend::kShared &&
-                         !spec_.payload && active_standalone_ == 0;
+  const bool can_batch = !spec_.payload && active_slots_ == 0;
   size_t applied = 0;
   while (in_bound(applied)) {
     const Record& record = apply_scratch_[applied].first;
@@ -333,7 +272,7 @@ void WindowAggOperator::ApplyCoveredRecords(Timestamp wm) {
     // Emplace already logged the upsert: no Touch needed.
     ScheduleVisit(keys_.PositionOf(entry), ks, /*touch=*/false);
     if (!can_batch) {
-      ApplyElement(key, ks, record);
+      ApplyElement(ks, record);
       ++applied;
       continue;
     }
@@ -352,7 +291,7 @@ void WindowAggOperator::ApplyCoveredRecords(Timestamp wm) {
     }
     const size_t n = j - applied;
     if (n == 1) {
-      ApplyElement(key, ks, record);
+      ApplyElement(ks, record);
     } else {
       run_ts_.clear();
       run_in_.clear();
@@ -476,8 +415,11 @@ void WindowAggOperator::ApplyDynAttach(const DynQuery& dq,
       STREAMLINE_CHECK_EQ(got, slot);
     }
   } else {
-    for (auto& [key, ks] : keys_) ks.standalone.emplace_back();
-    ++active_standalone_;
+    open_slots_.push_back(OpenWindowSlot{dq.desc.range, dq.desc.slide,
+                                         dq.desc.origin, dq.attach_wm, dq.id,
+                                         true});
+    for (auto& [key, ks] : keys_) ks.open.emplace_back();
+    ++active_slots_;
   }
 }
 
@@ -489,12 +431,13 @@ void WindowAggOperator::ApplyDynDetach(size_t index, uint64_t* slices_freed) {
       *slices_freed += ks.shared->DetachQuery(slot);
     }
   } else {
-    const size_t sidx = StandaloneIndexOfDyn(index);
+    const size_t slot = OpenSlotOfDyn(index);
+    open_slots_[slot].active = false;
     for (auto& [key, ks] : keys_) {
-      ks.standalone[sidx].open.clear();
-      ks.standalone[sidx].open.shrink_to_fit();
+      ks.open[slot].clear();
+      ks.open[slot].shrink_to_fit();
     }
-    --active_standalone_;
+    --active_slots_;
   }
 }
 
@@ -506,25 +449,19 @@ size_t WindowAggOperator::SharedSlotOfDyn(size_t index) const {
   return slot;
 }
 
-size_t WindowAggOperator::StandaloneIndexOfDyn(size_t index) const {
-  size_t sidx = 0;
+size_t WindowAggOperator::OpenSlotOfDyn(size_t index) const {
+  size_t slot = 0;
   for (size_t i = 0; i < index; ++i) {
-    if (dyn_queries_[i].placement == QueryPlacement::kStandalone) ++sidx;
+    if (dyn_queries_[i].placement == QueryPlacement::kStandalone) ++slot;
   }
-  return sidx;
+  return slot;
 }
 
 Timestamp WindowAggOperator::KeyNextDue(KeyState* ks) {
-  Timestamp due = kMaxTimestamp;
+  Timestamp due = ks->shared ? ks->shared->NextDue() : kMaxTimestamp;
   // Open windows are sorted by (end, start): the front ends first.
-  const auto earliest_end = [&due](const auto& open) {
+  for (const OpenWindows& open : ks->open) {
     if (!open.empty()) due = std::min(due, open.front().first.end);
-  };
-  if (ks->shared) {
-    due = ks->shared->NextDue();
-    for (const StandaloneState& ss : ks->standalone) earliest_end(ss.open);
-  } else {
-    for (const EagerQueryState& qs : ks->eager) earliest_end(qs.open);
   }
   return due;
 }
@@ -572,84 +509,76 @@ void WindowAggOperator::OnEndOfInput(Collector* out) {
   (void)out;
 }
 
+void WindowAggOperator::WriteOpenWindows(const OpenWindows& open,
+                                         BinaryWriter* w) {
+  w->WriteU64(open.size());
+  for (const auto& [window, partial] : open) {
+    w->WriteI64(window.start);
+    w->WriteI64(window.end);
+    DynAggregate::SerializePartial(partial, w);
+  }
+}
+
+Status WindowAggOperator::ReadOpenWindows(OpenWindows* open,
+                                          BinaryReader* r) {
+  // A delta may re-restore a key with open windows; full replacement.
+  open->clear();
+  auto nw = r->ReadU64();
+  if (!nw.ok()) return nw.status();
+  for (uint64_t k = 0; k < *nw; ++k) {
+    auto start = r->ReadI64();
+    if (!start.ok()) return start.status();
+    auto end = r->ReadI64();
+    if (!end.ok()) return end.status();
+    auto p = DynAggregate::DeserializePartial(r);
+    if (!p.ok()) return p.status();
+    // Snapshots write `open` in sorted order; appending preserves it.
+    open->emplace_back(Window{*start, *end}, *p);
+  }
+  return Status::Ok();
+}
+
 void WindowAggOperator::SnapshotKeyState(const KeyState& ks,
                                          BinaryWriter* w) const {
   if (spec_.backend == WindowBackend::kShared) {
     ks.shared->Snapshot(w, SerializeDynPartial);
-    w->WriteU64(ks.standalone.size());
+    w->WriteU64(ks.open.size());
     w->WriteU64(ks.standalone_fires);
-    for (const StandaloneState& ss : ks.standalone) {
-      w->WriteU64(ss.open.size());
-      for (const auto& [window, partial] : ss.open) {
-        w->WriteI64(window.start);
-        w->WriteI64(window.end);
-        DynAggregate::SerializePartial(partial, w);
-      }
-    }
+    for (const OpenWindows& open : ks.open) WriteOpenWindows(open, w);
     return;
   }
-  w->WriteU64(ks.eager.size());
-  for (const EagerQueryState& qs : ks.eager) {
-    qs.wf->SnapshotState(w);
-    w->WriteU64(qs.open.size());
-    for (const auto& [window, partial] : qs.open) {
-      w->WriteI64(window.start);
-      w->WriteI64(window.end);
-      DynAggregate::SerializePartial(partial, w);
-    }
+  // Eager layout: per spec window, its window-function state and its open
+  // windows. The per-key function is never driven, so its state is the
+  // prototype's.
+  w->WriteU64(ks.open.size());
+  for (size_t q = 0; q < ks.open.size(); ++q) {
+    spec_.windows[q]->SnapshotState(w);
+    WriteOpenWindows(ks.open[q], w);
   }
 }
 
 Status WindowAggOperator::RestoreKeyState(KeyState* ks, BinaryReader* r) {
-  if (spec_.backend == WindowBackend::kShared) {
+  // The two layouts of SnapshotKeyState, interleaved.
+  const bool shared = spec_.backend == WindowBackend::kShared;
+  if (shared) {
     STREAMLINE_RETURN_IF_ERROR(ks->shared->Restore(r, DeserializeDynPartial));
-    auto ns = r->ReadU64();
-    if (!ns.ok()) return ns.status();
-    if (*ns != ks->standalone.size()) {
-      return Status::FailedPrecondition("standalone query count mismatch");
-    }
+  }
+  auto n = r->ReadU64();
+  if (!n.ok()) return n.status();
+  if (*n != ks->open.size()) {
+    return Status::FailedPrecondition("open-window slot count mismatch");
+  }
+  if (shared) {
     auto fires = r->ReadU64();
     if (!fires.ok()) return fires.status();
     ks->standalone_fires = *fires;
-    for (StandaloneState& ss : ks->standalone) {
-      // A delta may re-restore a key with open windows; full replacement.
-      ss.open.clear();
-      auto nw = r->ReadU64();
-      if (!nw.ok()) return nw.status();
-      for (uint64_t k = 0; k < *nw; ++k) {
-        auto start = r->ReadI64();
-        if (!start.ok()) return start.status();
-        auto end = r->ReadI64();
-        if (!end.ok()) return end.status();
-        auto p = DynAggregate::DeserializePartial(r);
-        if (!p.ok()) return p.status();
-        ss.open.emplace_back(Window{*start, *end}, *p);
-      }
-    }
-    return Status::Ok();
   }
-  auto nq = r->ReadU64();
-  if (!nq.ok()) return nq.status();
-  if (*nq != ks->eager.size()) {
-    return Status::FailedPrecondition("eager query count mismatch");
-  }
-  for (EagerQueryState& qs : ks->eager) {
-    // A delta may re-restore a key that already has open windows; the
-    // snapshot is a full replacement, not an append.
-    qs.open.clear();
-    STREAMLINE_RETURN_IF_ERROR(qs.wf->RestoreState(r));
-    auto nw = r->ReadU64();
-    if (!nw.ok()) return nw.status();
-    for (uint64_t k = 0; k < *nw; ++k) {
-      auto start = r->ReadI64();
-      if (!start.ok()) return start.status();
-      auto end = r->ReadI64();
-      if (!end.ok()) return end.status();
-      auto p = DynAggregate::DeserializePartial(r);
-      if (!p.ok()) return p.status();
-      // Snapshots write `open` in sorted order; appending preserves it.
-      qs.open.emplace_back(Window{*start, *end}, *p);
+  for (size_t q = 0; q < ks->open.size(); ++q) {
+    if (!shared) {
+      // Consumed through a throwaway clone, so a truncated snapshot fails.
+      STREAMLINE_RETURN_IF_ERROR(spec_.windows[q]->Clone()->RestoreState(r));
     }
+    STREAMLINE_RETURN_IF_ERROR(ReadOpenWindows(&ks->open[q], r));
   }
   return Status::Ok();
 }
@@ -683,20 +612,26 @@ Status WindowAggOperator::ReadMeta(BinaryReader* r, bool replay) {
   auto seq = r->ReadU64();
   if (!seq.ok()) return seq.status();
   // The dynamic-query table must be in place before any key state is
-  // restored: InitKeyState lays out per-key slots/standalone vectors from
+  // restored: InitKeyState lays out per-key slicer and open-window slots from
   // it, and RestoreKeyState validates the layout it reads against that.
   std::vector<DynQuery> table;
   uint64_t applied_seq = 0;
   STREAMLINE_RETURN_IF_ERROR(ReadDynTable(r, &table, &applied_seq));
   if (replay) STREAMLINE_RETURN_IF_ERROR(ReconcileDynTable(table));
+  // Replace the outgoing table's standalone slots (the eager backend's spec
+  // slots precede them) with the new table's.
+  open_slots_.resize(open_slots_.size() - OpenSlotOfDyn(dyn_queries_.size()));
   dyn_queries_ = std::move(table);
   applied_seq_ = applied_seq;
-  active_standalone_ = 0;
   for (const DynQuery& dq : dyn_queries_) {
-    if (dq.active && dq.placement == QueryPlacement::kStandalone) {
-      ++active_standalone_;
-    }
+    if (dq.placement != QueryPlacement::kStandalone) continue;
+    open_slots_.push_back(OpenWindowSlot{dq.desc.range, dq.desc.slide,
+                                         dq.desc.origin, dq.attach_wm, dq.id,
+                                         dq.active});
   }
+  active_slots_ = static_cast<size_t>(
+      std::count_if(open_slots_.begin(), open_slots_.end(),
+                    [](const OpenWindowSlot& s) { return s.active; }));
   auto np = r->ReadU64();
   if (!np.ok()) return np.status();
   pending_.clear();
@@ -761,7 +696,7 @@ Status WindowAggOperator::ReconcileDynTable(
   // entries, then attach the appended tail. Keys the commands mutated were
   // all marked dirty in the same epoch, so their exact state follows in
   // this delta's upserts; the retrofit only has to make the *layout* (slot
-  // counts, standalone vector sizes) match before those restores run.
+  // counts, open-window set counts) match before those restores run.
   // Validate before mutating anything: a rejected table leaves the live
   // state as it was.
   if (table.size() < dyn_queries_.size()) {

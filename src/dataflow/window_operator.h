@@ -149,9 +149,16 @@ struct WindowAggSpec {
 /// them, then applied in timestamp order -- so upstream parallelism (which
 /// interleaves channels arbitrarily) never breaks window contents.
 ///
+/// Window state: the shared backend keeps one Cutty slicer per key, which
+/// serves the spec windows and the shared standing queries from one slice
+/// store. The eager backend's spec windows and the registry's standalone
+/// standing queries keep one partial per open window instead, on one path:
+/// an operator-level slot table and, per key, one sorted open-window set
+/// per slot. Per key, the slicer fires before the slots.
+///
 /// Watermark cost is proportional to the keys that are due, not to every
-/// key ever seen: each key publishes a next-due watermark (its slicer's
-/// NextDue, or its earliest open eager/standalone window end) into an
+/// key ever seen: each key publishes a next-due watermark (the earlier of
+/// its slicer's NextDue and its earliest open-window end) into an
 /// operator-level timer index. A watermark advances the keys that received
 /// records in its apply (their slicer owes an eviction) and the keys the
 /// index pops as due, in ascending entry position -- the order a walk over
@@ -191,16 +198,6 @@ class WindowAggOperator : public Operator {
  private:
   using SharedAgg = SlicingAggregator<DynAggAdapter, FlatFatStore<DynAggAdapter>>;
 
-  struct EagerQueryState {
-    std::unique_ptr<WindowFunction> wf;  // used only for periodic params
-    Duration range = 0;
-    Duration slide = 0;
-    Timestamp origin = 0;
-    /// Open windows sorted by Window::operator< (end, then start); small and
-    /// short-lived, so a sorted vector beats a node-based map.
-    std::vector<std::pair<Window, DynPartial>> open;
-  };
-
   /// One registry-attached query, as applied by this subtask. The table is
   /// a pure function of the command-log prefix [1, applied_seq_] (plus the
   /// watermark at each application), so it is identical across subtasks and
@@ -218,20 +215,33 @@ class WindowAggOperator : public Operator {
     Timestamp attach_wm = kMinTimestamp;
   };
 
-  /// Per-key open-window partials of one standalone dynamic query
-  /// (positionally aligned with the standalone entries of dyn_queries_,
-  /// holes included).
-  struct StandaloneState {
-    std::vector<std::pair<Window, DynPartial>> open;  // sorted by Window <
+  /// One per-window-partial query: an eager-backend spec window or a
+  /// standalone dyn query (positionally aligned with the standalone entries
+  /// of dyn_queries_, holes included). Every key holds one OpenWindows set
+  /// per slot, in table order.
+  struct OpenWindowSlot {
+    Duration range = 0;
+    Duration slide = 0;
+    Timestamp origin = 0;
+    /// Windows beginning before this are not served (a standalone query's
+    /// attach watermark: earlier windows would miss the records applied
+    /// before the attach).
+    Timestamp min_begin = kMinTimestamp;
+    /// Emitted in output field 3: the spec query index or the dyn query id.
+    uint64_t query = 0;
+    bool active = true;
   };
+  /// Open windows of one slot, sorted by Window::operator< (end, then
+  /// start); small and short-lived, so a sorted vector beats a node-based
+  /// map.
+  using OpenWindows = std::vector<std::pair<Window, DynPartial>>;
 
   struct KeyState {
-    // kShared backend.
+    // kShared backend only.
     std::unique_ptr<SharedAgg> shared;
-    // kEager backend.
-    std::vector<EagerQueryState> eager;
-    // Registry-attached standalone queries (kShared backend only).
-    std::vector<StandaloneState> standalone;
+    // One entry per open_slots_ entry.
+    std::vector<OpenWindows> open;
+    /// Windows the slots fired (serialized by the shared layout only).
     uint64_t standalone_fires = 0;
     // Timer-index bookkeeping: derived state, never serialized. Kept here,
     // in the entry the index pops, so deciding whether a popped key is due
@@ -263,16 +273,24 @@ class WindowAggOperator : public Operator {
     }
   };
 
-  /// Lays out a new key: per-query window state for the spec windows and,
-  /// so snapshots line up, one slot per dyn-table entry.
+  /// Lays out a new key: the slicer (shared backend) with one query per
+  /// spec window and shared dyn entry, and one open-window set per slot, so
+  /// snapshots line up.
   void InitKeyState(const Value& key, KeyState* ks);
-  void ApplyElement(const Value& key, KeyState* ks, const Record& record);
+  void ApplyElement(KeyState* ks, const Record& record);
   void AdvanceKeyWatermark(const Value& key, KeyState* ks, Timestamp wm);
   void SnapshotKeyState(const KeyState& ks, BinaryWriter* w) const;
   Status RestoreKeyState(KeyState* ks, BinaryReader* r);
   void EmitResult(const Value& key, size_t query, const Window& w,
                   const Value& result);
-  void EagerFire(const Value& key, KeyState* ks, Timestamp wm);
+  /// Folds the record into every window of every active slot that contains
+  /// it and begins at or after the slot's min_begin.
+  void FoldOpenWindows(KeyState* ks, const Record& record);
+  /// Emits and drops every open window that ends at or before `wm`.
+  void FireOpenWindows(const Value& key, KeyState* ks, Timestamp wm);
+  /// The `u64 n, (i64 start, i64 end, partial)*` codec of one slot.
+  static void WriteOpenWindows(const OpenWindows& open, BinaryWriter* w);
+  static Status ReadOpenWindows(OpenWindows* open, BinaryReader* r);
 
   // -- standing-query registry integration --------------------------------
   /// Polls the registry command log and applies new attach/detach commands
@@ -290,10 +308,9 @@ class WindowAggOperator : public Operator {
   /// Slicer slot of dyn entry `index` (spec windows first, then one slot
   /// per shared dyn entry in table order, detached holes included).
   size_t SharedSlotOfDyn(size_t index) const;
-  /// Position of dyn entry `index` among standalone entries.
-  size_t StandaloneIndexOfDyn(size_t index) const;
-  void FoldStandalone(const Value& key, KeyState* ks, const Record& record);
-  void FireStandalone(const Value& key, KeyState* ks, Timestamp wm);
+  /// Open-window slot of standalone dyn entry `index` (the shared backend
+  /// has no spec-window slots, so this counts standalone entries).
+  size_t OpenSlotOfDyn(size_t index) const;
 
   // -- one watermark, in order ----------------------------------------------
   /// Pops the records `wm` covers off the reorder buffer and applies them,
@@ -364,12 +381,15 @@ class WindowAggOperator : public Operator {
   uint64_t seq_ = 0;
   Timestamp current_wm_ = kMinTimestamp;
 
-  // Standing-query state (empty without a registry). active_standalone_
-  // gates the per-record standalone fold -- and disables run batching,
-  // which bypasses ApplyElement.
+  // Standing-query state (empty without a registry).
   std::vector<DynQuery> dyn_queries_;
   uint64_t applied_seq_ = 0;
-  size_t active_standalone_ = 0;
+  // Per-window-partial queries: the spec windows of the eager backend (set
+  // in Open), or the standalone dyn entries of the shared backend (derived
+  // from dyn_queries_). active_slots_ gates the per-record fold -- and
+  // disables run batching, which bypasses ApplyElement.
+  std::vector<OpenWindowSlot> open_slots_;
+  size_t active_slots_ = 0;
   int subtask_index_ = 0;
   // The job MetricsRegistry handed to the registry in Open; unbound in the
   // destructor so a registry outliving this job never writes into it.

@@ -356,6 +356,31 @@ Record PinKV(Timestamp ts, int64_t key, int64_t value) {
   return MakeRecord(ts, Value(key), Value(value));
 }
 
+// The window spec of the pinned-format digest; the shared backend serves
+// `registry` when one is given.
+WindowAggSpec PinnedWindowSpec(WindowBackend backend,
+                               std::shared_ptr<QueryRegistry> registry) {
+  WindowAggSpec spec;
+  spec.key = Key0();
+  spec.value_field = 1;
+  spec.agg_kind = DynAggKind::kSum;
+  spec.windows = {std::make_shared<SlidingWindowFn>(20, 5),
+                  std::make_shared<TumblingWindowFn>(10)};
+  spec.backend = backend;
+  spec.registry = std::move(registry);
+  return spec;
+}
+
+// One epoch of the pinned-format window feed.
+void FeedPinnedWindowEpoch(WindowAggOperator* op, int epoch, Collector* out) {
+  for (int64_t i = 0; i < 50; ++i) {
+    const int64_t ts = epoch * 50 + i;
+    op->ProcessRecord(0, PinKV(ts, ts % 6, ts), out);
+  }
+  // Leaves the newest records in the reorder heap (meta record).
+  op->ProcessWatermark(epoch * 50 + 38, out);
+}
+
 // Checkpoints written by earlier builds must keep restoring, so the full
 // snapshot and delta bytes of every keyed operator are pinned to digests
 // recorded before the keyed-state protocol was factored out of the
@@ -410,17 +435,10 @@ TEST(KeyedStatePropertyTest, CheckpointBytesMatchPinnedFormat) {
        {WindowBackend::kShared, WindowBackend::kEager}) {
     const bool shared = backend == WindowBackend::kShared;
     auto registry = std::make_shared<QueryRegistry>();
-    WindowAggSpec spec;
-    spec.key = Key0();
-    spec.value_field = 1;
-    spec.agg_kind = DynAggKind::kSum;
-    spec.windows = {std::make_shared<SlidingWindowFn>(20, 5),
-                    std::make_shared<TumblingWindowFn>(10)};
-    spec.backend = backend;
     // The shared backend also pins the dyn-query table and the per-key
     // layout of attached (and detached) standing queries.
-    if (shared) spec.registry = registry;
-    WindowAggOperator op("wagg", spec);
+    WindowAggOperator op(
+        "wagg", PinnedWindowSpec(backend, shared ? registry : nullptr));
     uint64_t attached = 0;
     const uint32_t d = CheckpointDigest(&op, [&](int epoch, Collector* out) {
       if (shared && epoch == 1) {
@@ -432,15 +450,59 @@ TEST(KeyedStatePropertyTest, CheckpointBytesMatchPinnedFormat) {
       if (shared && epoch == 2) {
         EXPECT_TRUE(registry->Detach(attached).ok());
       }
-      for (int64_t i = 0; i < 50; ++i) {
-        const int64_t ts = epoch * 50 + i;
-        op.ProcessRecord(0, PinKV(ts, ts % 6, ts), out);
-      }
-      // Leaves the newest records in the reorder heap (meta record).
-      op.ProcessWatermark(epoch * 50 + 38, out);
+      FeedPinnedWindowEpoch(&op, epoch, out);
     });
     EXPECT_EQ(d, shared ? 1498351609u : 120826995u)
         << "WindowAgg shared=" << shared;
+  }
+}
+
+// A truncated WindowAggOperator snapshot is rejected with an error, never a
+// crash: every strict prefix of a full snapshot, for the eager layout and
+// for the shared layout with a shared, a standalone and a detached standing
+// query.
+TEST(KeyedStatePropertyTest, TruncatedWindowAggSnapshotsAreRejected) {
+  for (WindowBackend backend :
+       {WindowBackend::kShared, WindowBackend::kEager}) {
+    const bool shared = backend == WindowBackend::kShared;
+    const WindowAggSpec spec = PinnedWindowSpec(
+        backend, shared ? std::make_shared<QueryRegistry>() : nullptr);
+    WindowAggOperator op("wagg", spec);
+    ASSERT_TRUE(op.Open(OperatorContext{}).ok());
+    VecCollector out;
+    uint64_t detached = 0;
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      if (shared && epoch == 1) {
+        const uint64_t kept = spec.registry->AttachSliding(30, 10);
+        const uint64_t standalone = spec.registry->AttachSliding(2, 1);
+        detached = spec.registry->AttachSliding(40, 20);
+        ASSERT_EQ(spec.registry->PlacementOf(kept), QueryPlacement::kShared);
+        ASSERT_EQ(spec.registry->PlacementOf(standalone),
+                  QueryPlacement::kStandalone);
+        ASSERT_EQ(spec.registry->PlacementOf(detached),
+                  QueryPlacement::kShared);
+      }
+      if (shared && epoch == 2) {
+        ASSERT_TRUE(spec.registry->Detach(detached).ok());
+      }
+      FeedPinnedWindowEpoch(&op, epoch, &out);
+    }
+    BinaryWriter w;
+    ASSERT_TRUE(op.SnapshotState(&w).ok());
+    const std::string& full = w.buffer();
+    {
+      WindowAggOperator fresh("wagg", spec);
+      ASSERT_TRUE(fresh.Open(OperatorContext{}).ok());
+      BinaryReader r(full);
+      ASSERT_TRUE(fresh.RestoreState(&r).ok()) << "shared=" << shared;
+    }
+    for (size_t len = 0; len < full.size(); ++len) {
+      WindowAggOperator fresh("wagg", spec);
+      ASSERT_TRUE(fresh.Open(OperatorContext{}).ok());
+      BinaryReader r(std::string_view(full).substr(0, len));
+      EXPECT_FALSE(fresh.RestoreState(&r).ok())
+          << "shared=" << shared << " prefix " << len << "/" << full.size();
+    }
   }
 }
 

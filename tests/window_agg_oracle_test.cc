@@ -6,7 +6,8 @@
 // same snapshot bytes -- over both backends, periodic+session, count and
 // punctuation windows, allowed lateness, three watermark cadences, a
 // standing-query registry that attaches a shared and a standalone query
-// mid-stream (and detaches one), and a restore from base + delta midway.
+// mid-stream (and detaches one), windows with gaps (slide > range) in both
+// places, and a restore from base + delta midway.
 
 #include <gtest/gtest.h>
 
@@ -364,7 +365,8 @@ WindowAggSpec MakeSpec(const OracleParams& p,
       break;
     case Windows::kPeriodicEager:
       spec.windows = {std::make_shared<SlidingWindowFn>(40, 10),
-                      std::make_shared<TumblingWindowFn>(25)};
+                      std::make_shared<TumblingWindowFn>(25),
+                      std::make_shared<SlidingWindowFn>(10, 25)};
       spec.backend = WindowBackend::kEager;
       break;
   }
@@ -416,6 +418,10 @@ TEST_P(WindowAggOracleTest, SameOutputAndSnapshotAsEveryKeyWalk) {
       } else if (i == kRecords / 3) {
         const uint64_t id = registry->AttachTumbling(5);
         ASSERT_EQ(registry->PlacementOf(id), QueryPlacement::kStandalone);
+      } else if (i == 2 * kRecords / 5) {
+        // Gaps: every 8 units a window of 3.
+        const uint64_t id = registry->AttachSliding(3, 8);
+        ASSERT_EQ(registry->PlacementOf(id), QueryPlacement::kStandalone);
       } else if (i == 3 * kRecords / 4) {
         ASSERT_TRUE(registry->Detach(kFirstDynamicQueryId).ok());
       }
@@ -454,8 +460,9 @@ TEST_P(WindowAggOracleTest, SameOutputAndSnapshotAsEveryKeyWalk) {
   ASSERT_GT(watermarks, 5);
   ASSERT_GT(expected.size(), 0u);
   if (registry != nullptr) {
-    // Both attached queries served results.
-    for (uint64_t id : {kFirstDynamicQueryId, kFirstDynamicQueryId + 1}) {
+    // Every attached query served results.
+    for (uint64_t id : {kFirstDynamicQueryId, kFirstDynamicQueryId + 1,
+                        kFirstDynamicQueryId + 2}) {
       const Value query(static_cast<int64_t>(id));
       EXPECT_TRUE(std::any_of(
           expected.begin(), expected.end(),
