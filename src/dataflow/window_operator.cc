@@ -1,6 +1,7 @@
 #include "dataflow/window_operator.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/logging.h"
 
@@ -117,28 +118,71 @@ void WindowAggOperator::ProcessRecord(int, Record&& record, Collector* out) {
     // allowed-lateness-zero policy.
     return;
   }
-  pending_.emplace_back(std::move(record), seq_++);
-  std::push_heap(pending_.begin(), pending_.end(), PendingAfter);
+  pending_.Push(std::move(record), seq_++);
 }
 
 void WindowAggOperator::ProcessBatch(int, std::vector<Record>&& batch,
                                      Collector*) {
   // Windowing buffers until the watermark anyway, so the batch entry point
-  // is just a bulk append into the reorder heap. Grow geometrically: an
-  // exact reserve(size + batch) here would reallocate -- and move the whole
-  // buffer -- on every batch once the buffer outgrows its capacity, which
-  // turns a stalled watermark (records buffering, none applying) into
+  // is just a bulk append into the reorder buffer. Its vectors must keep
+  // growing geometrically: an exact reserve(size + batch) per batch would
+  // move the whole buffer on every batch, turning a stalled watermark into
   // O(n^2) dispatch cost.
-  const size_t needed = pending_.size() + batch.size();
-  if (needed > pending_.capacity()) {
-    pending_.reserve(std::max(needed, pending_.capacity() * 2));
-  }
   for (Record& record : batch) {
     if (record.timestamp < current_wm_) continue;  // late: dropped
-    pending_.emplace_back(std::move(record), seq_++);
-    std::push_heap(pending_.begin(), pending_.end(), PendingAfter);
+    pending_.Push(std::move(record), seq_++);
   }
   batch.clear();
+}
+
+uint32_t WindowAggOperator::ReorderBuffer::TakeSlot(Record&& record) {
+  if (!free_slots_.empty()) {
+    const uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = std::move(record);
+    return slot;
+  }
+  // A stalled watermark buffers millions of records, never billions.
+  STREAMLINE_CHECK_LT(slab_.size(), size_t{UINT32_MAX})
+      << "reorder buffer slot index overflow";
+  slab_.push_back(std::move(record));
+  return static_cast<uint32_t>(slab_.size() - 1);
+}
+
+void WindowAggOperator::ReorderBuffer::Push(Record&& record, uint64_t seq) {
+  Append(std::move(record), seq);
+  std::push_heap(heap_.begin(), heap_.end(), After());
+}
+
+void WindowAggOperator::ReorderBuffer::Append(Record&& record, uint64_t seq) {
+  const Timestamp ts = record.timestamp;
+  heap_.push_back(Ref{ts, seq, TakeSlot(std::move(record))});
+}
+
+void WindowAggOperator::ReorderBuffer::MakeHeap() {
+  std::make_heap(heap_.begin(), heap_.end(), After());
+}
+
+void WindowAggOperator::ReorderBuffer::PopCovered(Timestamp wm,
+                                                  std::vector<Ref>* out) {
+  while (!heap_.empty() && (wm == kMaxTimestamp || heap_.front().ts < wm)) {
+    std::pop_heap(heap_.begin(), heap_.end(), After());
+    out->push_back(heap_.back());
+    heap_.pop_back();
+  }
+}
+
+void WindowAggOperator::ReorderBuffer::Release(const std::vector<Ref>& refs) {
+  for (const Ref& ref : refs) {
+    slab_[ref.slot] = Record();
+    free_slots_.push_back(ref.slot);
+  }
+}
+
+void WindowAggOperator::ReorderBuffer::Clear() {
+  heap_.clear();
+  slab_.clear();
+  free_slots_.clear();
 }
 
 void WindowAggOperator::ApplyElement(KeyState* ks, const Record& record) {
@@ -235,12 +279,7 @@ void WindowAggOperator::ApplyCoveredRecords(Timestamp wm) {
   // holding the min-watermark back while fast channels keep buffering) is
   // O(1) per watermark no matter how large the buffer grows.
   apply_scratch_.clear();
-  while (!pending_.empty() &&
-         (wm == kMaxTimestamp || pending_.front().first.timestamp < wm)) {
-    std::pop_heap(pending_.begin(), pending_.end(), PendingAfter);
-    apply_scratch_.push_back(std::move(pending_.back()));
-    pending_.pop_back();
-  }
+  pending_.PopCovered(wm, &apply_scratch_);
   const auto in_bound = [&](size_t i) { return i < apply_scratch_.size(); };
   const auto resolve_key = [&](const Record& record, Value* key,
                                uint64_t* hash) {
@@ -263,7 +302,7 @@ void WindowAggOperator::ApplyCoveredRecords(Timestamp wm) {
   const bool can_batch = !spec_.payload && active_slots_ == 0;
   size_t applied = 0;
   while (in_bound(applied)) {
-    const Record& record = apply_scratch_[applied].first;
+    const Record& record = pending_.record(apply_scratch_[applied]);
     Value key;
     uint64_t hash;
     resolve_key(record, &key, &hash);
@@ -281,7 +320,7 @@ void WindowAggOperator::ApplyCoveredRecords(Timestamp wm) {
     size_t j = applied + 1;
     while (in_bound(j)) {
       if (spec_.key) {
-        const Record& next = apply_scratch_[j].first;
+        const Record& next = pending_.record(apply_scratch_[j]);
         Value next_key;
         uint64_t next_hash;
         resolve_key(next, &next_key, &next_hash);
@@ -298,7 +337,7 @@ void WindowAggOperator::ApplyCoveredRecords(Timestamp wm) {
       run_ts_.reserve(n);
       run_in_.reserve(n);
       for (size_t i = applied; i < j; ++i) {
-        const Record& r = apply_scratch_[i].first;
+        const Record& r = pending_.record(apply_scratch_[i]);
         run_ts_.push_back(r.timestamp);
         run_in_.push_back(DynAggAdapter::Input{r.field(spec_.value_field),
                                                r.timestamp});
@@ -307,6 +346,7 @@ void WindowAggOperator::ApplyCoveredRecords(Timestamp wm) {
     }
     applied = j;
   }
+  pending_.Release(apply_scratch_);
   apply_scratch_.clear();
 }
 
@@ -600,9 +640,9 @@ void WindowAggOperator::WriteMeta(BinaryWriter* w) const {
   // Written in heap-array order (deterministic for a given input history);
   // ReadMeta rebuilds the heap property, which holds for any array order.
   w->WriteU64(pending_.size());
-  for (const auto& [record, seq] : pending_) {
-    w->WriteRecord(record);
-    w->WriteU64(seq);
+  for (const ReorderBuffer::Ref& ref : pending_.refs()) {
+    w->WriteRecord(pending_.record(ref));
+    w->WriteU64(ref.seq);
   }
 }
 
@@ -634,15 +674,17 @@ Status WindowAggOperator::ReadMeta(BinaryReader* r, bool replay) {
                     [](const OpenWindowSlot& s) { return s.active; }));
   auto np = r->ReadU64();
   if (!np.ok()) return np.status();
-  pending_.clear();
+  // Refilled compactly: slot i holds the i-th record read. Slots never
+  // reach the bytes, so the writer's free slots need not survive.
+  pending_.Clear();
   for (uint64_t i = 0; i < *np; ++i) {
     auto rec = r->ReadRecord();
     if (!rec.ok()) return rec.status();
     auto s = r->ReadU64();
     if (!s.ok()) return s.status();
-    pending_.emplace_back(std::move(*rec), *s);
+    pending_.Append(std::move(*rec), *s);
   }
-  std::make_heap(pending_.begin(), pending_.end(), PendingAfter);
+  pending_.MakeHeap();
   current_wm_ = *wm;
   seq_ = *seq;
   return Status::Ok();

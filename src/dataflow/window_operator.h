@@ -194,6 +194,10 @@ class WindowAggOperator : public Operator {
   /// Aggregation work counters summed over all keys (shared backend only).
   AggStats SharedStats() const;
   size_t num_keys() const { return keys_.size(); }
+  /// Records waiting in the reorder buffer, and the slab slots holding
+  /// them (free slots included).
+  size_t buffered_records() const { return pending_.size(); }
+  size_t reorder_slots() const { return pending_.slots(); }
 
  private:
   using SharedAgg = SlicingAggregator<DynAggAdapter, FlatFatStore<DynAggAdapter>>;
@@ -353,27 +357,62 @@ class WindowAggOperator : public Operator {
   WindowAggSpec spec_;
   DynAggAdapter adapter_;
 
-  using PendingEntry = std::pair<Record, uint64_t>;
-  /// Min-heap order on (timestamp, arrival seq) -- `a` sorts after `b`.
-  static bool PendingAfter(const PendingEntry& a, const PendingEntry& b) {
-    if (a.first.timestamp != b.first.timestamp) {
-      return a.first.timestamp > b.first.timestamp;
-    }
-    return a.second > b.second;
-  }
+  /// Records not yet covered by the watermark. Each record is moved once,
+  /// into a slot of a slab (freed slots are reused from a stack), and stays
+  /// there until it is applied; a binary min-heap of small (ts, seq, slot)
+  /// refs orders them, so a sift moves 24 bytes and never a Record.
+  class ReorderBuffer {
+   public:
+    struct Ref {
+      Timestamp ts;
+      uint64_t seq;  // arrival order: ties on ts keep it
+      uint32_t slot;
+    };
 
-  // Reorder buffer: records not yet covered by the watermark, kept as a
-  // binary min-heap on (ts, seq). A watermark pops exactly the records it
-  // covers, in apply order; nothing ever costs O(buffer) per watermark.
-  // That bound matters: one slow input channel holds the min-watermark
-  // back while fast channels keep buffering, so the buffer can reach
-  // millions of records -- per-watermark sorting (or merging, or erasing a
-  // prefix) of the whole buffer turns that stall into quadratic dispatch
-  // cost and starves the scheduler.
-  std::vector<PendingEntry> pending_;
-  // Covered records popped off the heap, in (ts, seq) order; capacity
-  // persists across watermarks.
-  std::vector<PendingEntry> apply_scratch_;
+    /// Stores the record in a slot and pushes its ref.
+    void Push(Record&& record, uint64_t seq);
+    /// Pops the refs `wm` covers (every ref at kMaxTimestamp) into `out`,
+    /// in (ts, seq) order; records still ahead of `wm` never move.
+    void PopCovered(Timestamp wm, std::vector<Ref>* out);
+    const Record& record(const Ref& ref) const { return slab_[ref.slot]; }
+    /// Drops the records of popped refs (freeing their payloads) and
+    /// returns their slots to the free stack.
+    void Release(const std::vector<Ref>& refs);
+    /// The heap array: its order is a pure function of the push/pop history.
+    const std::vector<Ref>& refs() const { return heap_; }
+    /// Restore: Clear, Append every record in snapshot order, then MakeHeap.
+    void Clear();
+    void Append(Record&& record, uint64_t seq);
+    void MakeHeap();
+    size_t size() const { return heap_.size(); }
+    size_t slots() const { return slab_.size(); }
+
+   private:
+    /// Min-heap order on (ts, seq): `a` sorts after `b`. Seqs are unique,
+    /// so this is a strict total order: the heap array, and the snapshot
+    /// written from it, depend only on the push/pop history.
+    struct After {
+      bool operator()(const Ref& a, const Ref& b) const {
+        return a.ts != b.ts ? a.ts > b.ts : a.seq > b.seq;
+      }
+    };
+    uint32_t TakeSlot(Record&& record);
+
+    std::vector<Ref> heap_;
+    std::vector<Record> slab_;
+    std::vector<uint32_t> free_slots_;
+  };
+
+  // A watermark pops exactly the records it covers, in apply order; nothing
+  // ever costs O(buffer) per watermark. That bound matters: one slow input
+  // channel holds the min-watermark back while fast channels keep
+  // buffering, so the buffer can reach millions of records -- per-watermark
+  // sorting (or merging, or erasing a prefix) of the whole buffer turns
+  // that stall into quadratic dispatch cost and starves the scheduler.
+  ReorderBuffer pending_;
+  // Refs of the covered records, popped in (ts, seq) order and applied in
+  // place from the slab; capacity persists across watermarks.
+  std::vector<ReorderBuffer::Ref> apply_scratch_;
   // Scratch for contiguous same-key runs handed to the aggregator's batch
   // entry point (shared backend only); capacity persists across watermarks.
   std::vector<Timestamp> run_ts_;

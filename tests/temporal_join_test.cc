@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "api/datastream.h"
+#include "dataflow/sources.h"
 
 namespace streamline {
 namespace {
@@ -85,33 +88,79 @@ TEST(TemporalJoinTest, TableStateSnapshotRoundTrip) {
   EXPECT_EQ(out.records[0].field(3).AsString(), "row7");
 }
 
+// The join as the API builds it, counting the table rows it has applied
+// (across all subtasks).
+class RowCountingJoin : public TemporalJoinOperator {
+ public:
+  RowCountingJoin(std::string name, Spec spec, std::atomic<int>* rows)
+      : TemporalJoinOperator(std::move(name), std::move(spec)), rows_(rows) {}
+  void ProcessRecord(int input, Record&& record, Collector* out) override {
+    TemporalJoinOperator::ProcessRecord(input, std::move(record), out);
+    if (input == 1) rows_->fetch_add(1, std::memory_order_release);
+  }
+
+ private:
+  std::atomic<int>* rows_;
+};
+
+// Emits its records only once the join has applied `rows` table rows; until
+// then it polls idle and the engine re-polls it on its source timer.
+class GatedSource : public SourceFunction {
+ public:
+  GatedSource(std::vector<Record> records, const std::atomic<int>* applied,
+              int rows)
+      : inner_(std::move(records)), applied_(applied), rows_(rows) {}
+  Result<SourcePoll> Poll(SourceContext* ctx) override {
+    if (applied_->load(std::memory_order_acquire) < rows_) {
+      return SourcePoll::kIdle;
+    }
+    return inner_.Poll(ctx);
+  }
+  std::string Name() const override { return "gated-source"; }
+
+ private:
+  VectorSource inner_;
+  const std::atomic<int>* applied_;
+  int rows_;
+};
+
 TEST(TemporalJoinTest, EndToEndThroughApi) {
   Environment env(2);
   // Dimension changelog: item -> category.
+  static constexpr int kItems = 20;
   std::vector<Record> table_rows;
-  for (int item = 0; item < 20; ++item) {
+  for (int item = 0; item < kItems; ++item) {
     table_rows.push_back(MakeRecord(
         0, Value(static_cast<int64_t>(item)),
         Value("cat" + std::to_string(item % 4))));
   }
-  // Facts arrive after the table (ts > 0 just for clarity; the temporal
-  // join is processing-order based, so feed the table from one bounded
-  // source which completes quickly).
   std::vector<Record> facts;
   for (int i = 0; i < 200; ++i) {
     facts.push_back(MakeRecord(100 + i, Value(static_cast<int64_t>(i % 20)),
                                Value(1.0)));
   }
+  // The temporal join is processing-order based: a fact only matches a row
+  // the join applied before it. The facts are gated on the join having
+  // applied every row, so none can overtake the table.
+  std::atomic<int> rows_applied{0};
   auto table = env.FromRecords(std::move(table_rows), "dim").KeyBy(0);
-  auto sink = env.FromRecords(std::move(facts), "facts")
-                  .KeyBy(0)
-                  .TemporalJoin(table, /*table_width=*/2,
-                                /*emit_unmatched=*/true)
-                  .Collect();
+  auto fact_stream = env.FromSource(
+      "facts",
+      [&facts, &rows_applied](int, int) -> std::unique_ptr<SourceFunction> {
+        return std::make_unique<GatedSource>(facts, &rows_applied, kItems);
+      });
+  auto joined = fact_stream.KeyBy(0).TemporalJoin(table, /*table_width=*/2,
+                                                  /*emit_unmatched=*/true);
+  GraphNode& join = env.graph()->mutable_node(joined.node_id());
+  join.op_factory = [name = join.name, &rows_applied]() {
+    return std::make_unique<RowCountingJoin>(name, BasicSpec(true),
+                                             &rows_applied);
+  };
+  auto sink = joined.Collect();
   ASSERT_TRUE(env.Execute().ok());
+  ASSERT_EQ(rows_applied.load(), kItems);
   ASSERT_EQ(sink->size(), 200u);
-  // Every matched record carries its category; unmatched ones (races where
-  // a fact beat its table row) are null-padded rather than dropped.
+  // Every fact found its row and carries its category.
   size_t matched = 0;
   for (const Record& r : sink->records()) {
     ASSERT_EQ(r.num_fields(), 4u);
@@ -122,7 +171,7 @@ TEST(TemporalJoinTest, EndToEndThroughApi) {
                 "cat" + std::to_string(item % 4));
     }
   }
-  EXPECT_GT(matched, 0u);
+  EXPECT_EQ(matched, 200u);
 }
 
 }  // namespace

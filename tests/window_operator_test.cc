@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <random>
 
 #include "api/datastream.h"
 
@@ -318,6 +320,117 @@ TEST(WindowOperatorTest, KeysVisitedCountsOnlyAppliedAndDueKeys) {
   op.ProcessWatermark(kMaxTimestamp, &out);  // end of stream: every key
   EXPECT_EQ(visited->value(), 10u);
   EXPECT_EQ(results.size(), 4u);
+}
+
+WindowAggSpec SlabSpec() {
+  WindowAggSpec spec;
+  spec.key = KeyField(0);
+  spec.value_field = 1;
+  spec.agg_kind = DynAggKind::kSum;
+  spec.windows = {std::make_shared<TumblingWindowFn>(50),
+                  std::make_shared<SessionWindowFn>(20)};
+  return spec;
+}
+
+// Heavy disorder over many watermarks frees slab slots and reuses them out
+// of order. A snapshot taken with records buffered restores into a compact
+// slab; from there both operators must emit the same records and end with
+// the same snapshot bytes.
+TEST(WindowOperatorTest, ReorderSlabRestoreMatchesLiveOperator) {
+  std::mt19937_64 rng(7);
+  std::vector<Record> input;
+  for (int i = 0; i < 20000; ++i) {
+    const Timestamp ts = i + static_cast<Timestamp>(rng() % 3000);
+    input.push_back(MakeRecord(ts, Value(static_cast<int64_t>(rng() % 37)),
+                               Value(static_cast<double>(i % 11)),
+                               Value("payload-" + std::to_string(i))));
+  }
+  // Watermark after every batch: the earliest timestamp still to come, so
+  // no record is late and thousands stay buffered.
+  constexpr size_t kBatch = 250;
+  std::vector<Timestamp> suffix_min(input.size() + 1, kMaxTimestamp);
+  for (size_t i = input.size(); i-- > 0;) {
+    suffix_min[i] = std::min(suffix_min[i + 1], input[i].timestamp);
+  }
+  const auto feed = [&](WindowAggOperator* op, size_t begin, size_t end,
+                        Collector* out) {
+    for (size_t b = begin; b < end; b += kBatch) {
+      const size_t e = std::min(end, b + kBatch);
+      op->ProcessBatch(0, std::vector<Record>(input.begin() + b,
+                                              input.begin() + e),
+                       out);
+      op->ProcessWatermark(suffix_min[e], out);
+    }
+  };
+
+  WindowAggOperator live("w", SlabSpec());
+  ASSERT_TRUE(live.Open(OperatorContext{}).ok());
+  std::vector<Record> before;
+  VectorCollector before_out(&before);
+  const size_t cut = 12000;
+  feed(&live, 0, cut, &before_out);
+  ASSERT_FALSE(before.empty());
+  ASSERT_GE(live.buffered_records(), 100u);
+  // Slots were freed and reused while the buffer churned.
+  EXPECT_GT(live.reorder_slots(), live.buffered_records());
+
+  BinaryWriter snapshot;
+  ASSERT_TRUE(live.SnapshotState(&snapshot).ok());
+  WindowAggOperator restored("w", SlabSpec());
+  ASSERT_TRUE(restored.Open(OperatorContext{}).ok());
+  BinaryReader reader(snapshot.buffer());
+  ASSERT_TRUE(restored.RestoreState(&reader).ok());
+  EXPECT_EQ(restored.buffered_records(), live.buffered_records());
+  EXPECT_EQ(restored.reorder_slots(), restored.buffered_records());
+
+  std::vector<Record> live_after, restored_after;
+  VectorCollector live_out(&live_after), restored_out(&restored_after);
+  feed(&live, cut, input.size() - 1000, &live_out);
+  feed(&restored, cut, input.size() - 1000, &restored_out);
+  ASSERT_GT(live.buffered_records(), 0u);
+  BinaryWriter live_bytes, restored_bytes;
+  ASSERT_TRUE(live.SnapshotState(&live_bytes).ok());
+  ASSERT_TRUE(restored.SnapshotState(&restored_bytes).ok());
+  EXPECT_EQ(live_bytes.buffer(), restored_bytes.buffer());
+
+  feed(&live, input.size() - 1000, input.size(), &live_out);
+  feed(&restored, input.size() - 1000, input.size(), &restored_out);
+  live.ProcessWatermark(kMaxTimestamp, &live_out);
+  restored.ProcessWatermark(kMaxTimestamp, &restored_out);
+  ASSERT_FALSE(live_after.empty());
+  EXPECT_EQ(live_after, restored_after);
+  BinaryWriter live_final, restored_final;
+  ASSERT_TRUE(live.SnapshotState(&live_final).ok());
+  ASSERT_TRUE(restored.SnapshotState(&restored_final).ok());
+  EXPECT_EQ(live_final.buffer(), restored_final.buffer());
+}
+
+// Applied records give their slots back: 100 waves of 1000 records, each
+// covered by its own watermark, never grow the slab past the peak number of
+// buffered records.
+TEST(WindowOperatorTest, ReorderSlabReusesFreedSlots) {
+  WindowAggOperator op("w", SlabSpec());
+  ASSERT_TRUE(op.Open(OperatorContext{}).ok());
+  std::vector<Record> results;
+  VectorCollector out(&results);
+  std::mt19937_64 rng(11);
+  size_t peak = 0;
+  for (int wave = 0; wave < 100; ++wave) {
+    std::vector<Record> batch;
+    for (int i = 0; i < 1000; ++i) {
+      batch.push_back(MakeRecord(wave * 1000 + i,
+                                 Value(static_cast<int64_t>(i % 13)),
+                                 Value(1.0)));
+    }
+    std::shuffle(batch.begin(), batch.end(), rng);
+    op.ProcessBatch(0, std::move(batch), &out);
+    peak = std::max(peak, op.buffered_records());
+    op.ProcessWatermark((wave + 1) * 1000, &out);
+    EXPECT_EQ(op.buffered_records(), 0u);
+    ASSERT_LE(op.reorder_slots(), peak) << "wave " << wave;
+  }
+  EXPECT_EQ(peak, 1000u);
+  EXPECT_FALSE(results.empty());
 }
 
 }  // namespace
