@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 
 #include "api/datastream.h"
 #include "dataflow/sources.h"
@@ -88,31 +89,51 @@ TEST(TemporalJoinTest, TableStateSnapshotRoundTrip) {
   EXPECT_EQ(out.records[0].field(3).AsString(), "row7");
 }
 
-// The join as the API builds it, counting the table rows it has applied
-// (across all subtasks).
-class RowCountingJoin : public TemporalJoinOperator {
+// Wraps the join the API built and counts the table rows it has applied
+// (across all subtasks); everything else is forwarded unchanged.
+class RowCountingJoin : public Operator {
  public:
-  RowCountingJoin(std::string name, Spec spec, std::atomic<int>* rows)
-      : TemporalJoinOperator(std::move(name), std::move(spec)), rows_(rows) {}
+  RowCountingJoin(std::unique_ptr<Operator> inner, std::atomic<int>* rows)
+      : inner_(std::move(inner)), rows_(rows) {}
+  Status Open(const OperatorContext& ctx) override {
+    return inner_->Open(ctx);
+  }
   void ProcessRecord(int input, Record&& record, Collector* out) override {
-    TemporalJoinOperator::ProcessRecord(input, std::move(record), out);
+    inner_->ProcessRecord(input, std::move(record), out);
     if (input == 1) rows_->fetch_add(1, std::memory_order_release);
   }
+  void ProcessWatermark(Timestamp wm, Collector* out) override {
+    inner_->ProcessWatermark(wm, out);
+  }
+  void OnEndOfInput(Collector* out) override { inner_->OnEndOfInput(out); }
+  Status Close() override { return inner_->Close(); }
+  std::string Name() const override { return inner_->Name(); }
 
  private:
+  std::unique_ptr<Operator> inner_;
   std::atomic<int>* rows_;
 };
 
 // Emits its records only once the join has applied `rows` table rows; until
-// then it polls idle and the engine re-polls it on its source timer.
+// then it polls idle and the engine re-polls it on its source timer. If the
+// rows never all arrive, the gate opens at a generous deadline and records
+// it, so a broken join fails an assertion instead of hanging the test.
 class GatedSource : public SourceFunction {
  public:
   GatedSource(std::vector<Record> records, const std::atomic<int>* applied,
-              int rows)
-      : inner_(std::move(records)), applied_(applied), rows_(rows) {}
+              int rows, std::atomic<bool>* timed_out)
+      : inner_(std::move(records)),
+        applied_(applied),
+        rows_(rows),
+        timed_out_(timed_out),
+        deadline_(std::chrono::steady_clock::now() +
+                  std::chrono::seconds(60)) {}
   Result<SourcePoll> Poll(SourceContext* ctx) override {
     if (applied_->load(std::memory_order_acquire) < rows_) {
-      return SourcePoll::kIdle;
+      if (std::chrono::steady_clock::now() < deadline_) {
+        return SourcePoll::kIdle;
+      }
+      timed_out_->store(true);
     }
     return inner_.Poll(ctx);
   }
@@ -122,6 +143,8 @@ class GatedSource : public SourceFunction {
   VectorSource inner_;
   const std::atomic<int>* applied_;
   int rows_;
+  std::atomic<bool>* timed_out_;
+  std::chrono::steady_clock::time_point deadline_;
 };
 
 TEST(TemporalJoinTest, EndToEndThroughApi) {
@@ -139,36 +162,49 @@ TEST(TemporalJoinTest, EndToEndThroughApi) {
     facts.push_back(MakeRecord(100 + i, Value(static_cast<int64_t>(i % 20)),
                                Value(1.0)));
   }
+  // Facts for items the table never lists: with emit_unmatched they are
+  // padded to the table's width.
+  static constexpr int kOrphans = 10;
+  for (int i = 0; i < kOrphans; ++i) {
+    facts.push_back(MakeRecord(300 + i, Value(static_cast<int64_t>(kItems + i)),
+                               Value(1.0)));
+  }
   // The temporal join is processing-order based: a fact only matches a row
   // the join applied before it. The facts are gated on the join having
   // applied every row, so none can overtake the table.
   std::atomic<int> rows_applied{0};
+  std::atomic<bool> gate_timed_out{false};
   auto table = env.FromRecords(std::move(table_rows), "dim").KeyBy(0);
   auto fact_stream = env.FromSource(
       "facts",
-      [&facts, &rows_applied](int, int) -> std::unique_ptr<SourceFunction> {
-        return std::make_unique<GatedSource>(facts, &rows_applied, kItems);
+      [&facts, &rows_applied,
+       &gate_timed_out](int, int) -> std::unique_ptr<SourceFunction> {
+        return std::make_unique<GatedSource>(facts, &rows_applied, kItems,
+                                             &gate_timed_out);
       });
   auto joined = fact_stream.KeyBy(0).TemporalJoin(table, /*table_width=*/2,
                                                   /*emit_unmatched=*/true);
   GraphNode& join = env.graph()->mutable_node(joined.node_id());
-  join.op_factory = [name = join.name, &rows_applied]() {
-    return std::make_unique<RowCountingJoin>(name, BasicSpec(true),
-                                             &rows_applied);
+  join.op_factory = [api_factory = join.op_factory, &rows_applied]() {
+    return std::make_unique<RowCountingJoin>(api_factory(), &rows_applied);
   };
   auto sink = joined.Collect();
   ASSERT_TRUE(env.Execute().ok());
+  EXPECT_FALSE(gate_timed_out.load()) << "the join never applied every row";
   ASSERT_EQ(rows_applied.load(), kItems);
-  ASSERT_EQ(sink->size(), 200u);
-  // Every fact found its row and carries its category.
+  ASSERT_EQ(sink->size(), 200u + kOrphans);
+  // Every listed fact found its row and carries its category; the others
+  // are null-padded.
   size_t matched = 0;
   for (const Record& r : sink->records()) {
     ASSERT_EQ(r.num_fields(), 4u);
-    if (!r.field(3).is_null()) {
+    const int64_t item = r.field(0).AsInt64();
+    if (item < kItems) {
       ++matched;
-      const int64_t item = r.field(0).AsInt64();
-      EXPECT_EQ(r.field(3).AsString(),
-                "cat" + std::to_string(item % 4));
+      EXPECT_EQ(r.field(3).AsString(), "cat" + std::to_string(item % 4));
+    } else {
+      EXPECT_TRUE(r.field(2).is_null());
+      EXPECT_TRUE(r.field(3).is_null());
     }
   }
   EXPECT_EQ(matched, 200u);
