@@ -12,30 +12,36 @@
 #include <unordered_map>
 
 #include "agg/slice_store.h"
+#include "agg/slicing_aggregator.h"
 #include "common/flat_hash_map.h"
 #include "common/random.h"
 #include "common/serde.h"
 #include "common/spsc_ring.h"
 #include "dataflow/operator.h"
 #include "dataflow/operators.h"
+#include "dataflow/window_operator.h"
 #include "window/aggregate_fn.h"
 #include "window/window_fn.h"
 
-// Global allocation counter (see BM_RecordLifecycleAllocations): counts
-// every operator new so a benchmark can prove a code path is
-// allocation-free.
+// Global allocation counters (see BM_RecordLifecycleAllocations and
+// BM_SessionKeyLifecycle): count every operator new and the bytes it asked
+// for, so a benchmark can prove a code path is allocation-free or measure
+// what one unit of work allocates.
 namespace {
 std::atomic<uint64_t> g_allocs{0};
+std::atomic<uint64_t> g_alloc_bytes{0};
 }  // namespace
 
 void* operator new(size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -109,6 +115,45 @@ void BM_PrefixStoreRangeQuery(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(i));
 }
 BENCHMARK(BM_PrefixStoreRangeQuery);
+
+// One session key's slicer, from creation to destruction, built the way
+// WindowAggOperator::InitKeyState builds it: a shared Cutty slicer over
+// FlatFAT with one session window, whose result callback captures a single
+// pointer. It folds a 3-element session, fires it and is destroyed.
+// allocs_per_key / bytes_per_key count the operator new calls (and the
+// bytes they requested) of one lifetime.
+void BM_SessionKeyLifecycle(benchmark::State& state) {
+  using Slicer =
+      SlicingAggregator<DynAggAdapter, FlatFatStore<DynAggAdapter>>;
+  constexpr Duration kGap = 30000;
+  const DynAggAdapter adapter(DynAggKind::kCount);
+  const SessionWindowFn prototype(kGap);
+  uint64_t fired = 0;
+  uint64_t keys = 0;
+  const uint64_t allocs_before = g_allocs.load();
+  const uint64_t bytes_before = g_alloc_bytes.load();
+  for (auto _ : state) {
+    auto slicer = std::make_unique<Slicer>(adapter);
+    slicer->AddQuery(prototype.Clone(),
+                     [&fired](size_t, const Window&, const Value&) {
+                       ++fired;
+                     });
+    for (const Timestamp ts : {0, 1000, 2000}) {
+      slicer->OnElement(ts, DynAggAdapter::Input{Value(int64_t{1}), ts},
+                        Value());
+    }
+    slicer->OnWatermark(2000 + kGap + 1);
+    ++keys;
+  }
+  if (fired != keys) state.SkipWithError("a session did not fire");
+  const double n = keys > 0 ? static_cast<double>(keys) : 1.0;
+  state.SetItemsProcessed(static_cast<int64_t>(keys));
+  state.counters["allocs_per_key"] =
+      static_cast<double>(g_allocs.load() - allocs_before) / n;
+  state.counters["bytes_per_key"] =
+      static_cast<double>(g_alloc_bytes.load() - bytes_before) / n;
+}
+BENCHMARK(BM_SessionKeyLifecycle);
 
 void BM_SlidingWindowFnOnElement(benchmark::State& state) {
   SlidingWindowFn fn(60'000, 1'000);

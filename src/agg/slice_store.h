@@ -122,39 +122,44 @@ class LinearStore {
 /// a ring buffer of slice partials. Appends, evictions and range combines
 /// are all O(log n); works for non-invertible aggregates. This is Cutty's
 /// "eager" shared store.
+///
+/// Sized to its live slices: the ring starts at one leaf and doubles when
+/// an append finds it full, so its capacity is the smallest power of two
+/// >= the peak live count (the window operator keeps one store per key, and
+/// a session key holds one or two slices). Slice starts share the ring:
+/// `starts_[p]` is the start of the slice at leaf `p`.
 template <typename Agg>
 class FlatFatStore {
  public:
   using Partial = typename Agg::Partial;
 
-  explicit FlatFatStore(Agg agg = Agg(), size_t initial_capacity = 64)
+  explicit FlatFatStore(Agg agg = Agg(), size_t initial_capacity = 1)
       : agg_(std::move(agg)) {
     capacity_ = 1;
     while (capacity_ < initial_capacity) capacity_ <<= 1;
     tree_.assign(2 * capacity_, agg_.Identity());
+    starts_.resize(capacity_);
   }
 
   void Append(Timestamp start, Partial p) {
-    STREAMLINE_DCHECK(starts_.empty() || start >= starts_.back());
+    STREAMLINE_DCHECK(count_ == 0 || start >= StartAt(count_ - 1));
     if (count_ == capacity_) Grow();
-    const size_t pos = (head_ + count_) % capacity_;
+    const size_t pos = Phys(count_);
     SetLeaf(pos, std::move(p));
+    starts_[pos] = start;
     ++count_;
-    starts_.push_back(start);
   }
 
   size_t BeginIndex() const { return base_; }
   size_t EndIndex() const { return base_ + count_; }
   size_t size() const { return count_; }
 
-  size_t LowerBound(Timestamp t) const {
-    auto it = std::lower_bound(starts_.begin(), starts_.end(), t);
-    return base_ + static_cast<size_t>(it - starts_.begin());
-  }
+  size_t LowerBound(Timestamp t) const { return base_ + LowerOffset(t); }
 
   /// See LinearStore::HasCutAt.
   bool HasCutAt(Timestamp t) const {
-    return std::binary_search(starts_.begin(), starts_.end(), t);
+    const size_t off = LowerOffset(t);
+    return off < count_ && StartAt(off) == t;
   }
 
   Partial RangeCombine(size_t i, size_t j) {
@@ -162,7 +167,7 @@ class FlatFatStore {
     if (i == j) return agg_.Identity();
     const size_t off = i - base_;
     const size_t len = j - i;
-    const size_t p0 = (head_ + off) % capacity_;
+    const size_t p0 = Phys(off);
     if (p0 + len <= capacity_) {
       return QuerySegment(p0, p0 + len);
     }
@@ -177,10 +182,9 @@ class FlatFatStore {
   void EvictBefore(size_t i) {
     while (base_ < i && count_ > 0) {
       SetLeaf(head_, agg_.Identity());
-      head_ = (head_ + 1) % capacity_;
+      head_ = Phys(1);
       --count_;
       ++base_;
-      starts_.pop_front();
     }
   }
 
@@ -194,8 +198,8 @@ class FlatFatStore {
     w->WriteU64(base_);
     w->WriteU64(count_);
     for (size_t k = 0; k < count_; ++k) {
-      w->WriteI64(starts_[k]);
-      ser(tree_[capacity_ + (head_ + k) % capacity_], w);
+      w->WriteI64(StartAt(k));
+      ser(tree_[capacity_ + Phys(k)], w);
     }
   }
 
@@ -206,7 +210,6 @@ class FlatFatStore {
     auto n = r->ReadU64();
     if (!n.ok()) return n.status();
     std::fill(tree_.begin(), tree_.end(), agg_.Identity());
-    starts_.clear();
     head_ = 0;
     count_ = 0;
     base_ = *base;
@@ -221,6 +224,28 @@ class FlatFatStore {
   }
 
  private:
+  // Physical ring position of the leaf at logical offset `k` from the
+  // oldest (capacity_ is a power of two).
+  size_t Phys(size_t k) const { return (head_ + k) & (capacity_ - 1); }
+  Timestamp StartAt(size_t k) const { return starts_[Phys(k)]; }
+
+  // First logical offset whose start is >= t (count_ if none): a binary
+  // search of the logical ring, whose starts are non-decreasing.
+  size_t LowerOffset(Timestamp t) const {
+    size_t lo = 0;
+    size_t n = count_;
+    while (n > 0) {
+      const size_t half = n / 2;
+      if (StartAt(lo + half) < t) {
+        lo += half + 1;
+        n -= half + 1;
+      } else {
+        n = half;
+      }
+    }
+    return lo;
+  }
+
   // Writes leaf `pos` and recomputes its ancestors bottom-up.
   void SetLeaf(size_t pos, Partial p) {
     size_t node = capacity_ + pos;
@@ -256,27 +281,32 @@ class FlatFatStore {
     return agg_.Combine(left, right);
   }
 
+  // Doubles the ring, relinearizing leaves and starts so the oldest slice
+  // sits at position 0.
   void Grow() {
     const size_t new_capacity = capacity_ * 2;
     std::vector<Partial> new_tree(2 * new_capacity, agg_.Identity());
+    std::vector<Timestamp> new_starts(new_capacity);
     for (size_t k = 0; k < count_; ++k) {
-      new_tree[new_capacity + k] = tree_[capacity_ + (head_ + k) % capacity_];
+      new_tree[new_capacity + k] = std::move(tree_[capacity_ + Phys(k)]);
+      new_starts[k] = StartAt(k);
     }
     for (size_t node = new_capacity - 1; node >= 1; --node) {
       new_tree[node] = agg_.Combine(new_tree[2 * node], new_tree[2 * node + 1]);
     }
     tree_ = std::move(new_tree);
+    starts_ = std::move(new_starts);
     capacity_ = new_capacity;
     head_ = 0;
   }
 
   Agg agg_;
-  size_t capacity_ = 0;
-  size_t head_ = 0;   // physical position of the oldest leaf
-  size_t count_ = 0;  // live leaves
-  size_t base_ = 0;   // logical index of the oldest leaf
-  std::vector<Partial> tree_;
-  std::deque<Timestamp> starts_;
+  size_t capacity_ = 0;  // leaves; a power of two
+  size_t head_ = 0;      // physical position of the oldest leaf
+  size_t count_ = 0;     // live leaves
+  size_t base_ = 0;      // logical index of the oldest leaf
+  std::vector<Partial> tree_;      // 2 * capacity_ nodes, leaves at the back
+  std::vector<Timestamp> starts_;  // capacity_ slice starts, one per leaf
   uint64_t combine_ops_ = 0;
 };
 

@@ -72,18 +72,16 @@ Status WindowAggOperator::Open(const OperatorContext& ctx) {
   return Status::Ok();
 }
 
-void WindowAggOperator::InitKeyState(const Value& key, KeyState* ks) {
+void WindowAggOperator::InitKeyState(KeyState* ks) {
   if (spec_.backend == WindowBackend::kShared) {
     ks->shared = std::make_unique<SharedAgg>(adapter_);
     for (size_t q = 0; q < spec_.windows.size(); ++q) {
-      // The callback captures the key by value; `current_out_` points at
-      // the collector of the call currently on the stack.
-      // analyzer:allow(record-copy-in-hot-path): once per new key (watermark apply, restore, replay), never per record; the callback must own its key
-      Value key_copy = key;
+      // The callback captures only `this`: the key is `emit_key_` and the
+      // collector `current_out_`, both set by the call on the stack.
       ks->shared->AddQuery(
           spec_.windows[q]->Clone(),
-          [this, key_copy](size_t query, const Window& w, const Value& v) {
-            EmitResult(key_copy, query, w, v);
+          [this](size_t query, const Window& w, const Value& v) {
+            EmitResult(query, w, v);
           });
     }
     // A key created after queries attached runs them from the key's first
@@ -94,19 +92,19 @@ void WindowAggOperator::InitKeyState(const Value& key, KeyState* ks) {
       const size_t slot = ks->shared->AddQuery(
           std::make_unique<SlidingWindowFn>(dq.desc.range, dq.desc.slide,
                                             dq.desc.origin),
-          DynResultCallback(key, dq.id));
+          DynResultCallback(dq.id));
       if (!dq.active) ks->shared->DetachQuery(slot);
     }
   }
   ks->open.resize(open_slots_.size());
 }
 
-void WindowAggOperator::EmitResult(const Value& key, size_t query,
-                                   const Window& w, const Value& result) {
-  STREAMLINE_CHECK(current_out_ != nullptr);
+void WindowAggOperator::EmitResult(size_t query, const Window& w,
+                                   const Value& result) {
+  STREAMLINE_CHECK(current_out_ != nullptr && emit_key_ != nullptr);
   Record out;
   out.timestamp = w.end - 1;
-  out.fields = {key, Value(w.start), Value(w.end),
+  out.fields = {*emit_key_, Value(w.start), Value(w.end),
                 Value(static_cast<int64_t>(query)), result};
   current_out_->Emit(std::move(out));
 }
@@ -223,16 +221,15 @@ void WindowAggOperator::FoldOpenWindows(KeyState* ks, const Record& record) {
   }
 }
 
-void WindowAggOperator::FireOpenWindows(const Value& key, KeyState* ks,
-                                        Timestamp wm) {
+void WindowAggOperator::FireOpenWindows(KeyState* ks, Timestamp wm) {
   for (size_t s = 0; s < ks->open.size(); ++s) {
     OpenWindows& open = ks->open[s];
     // Sorted by (end, start): the fired windows are a prefix. Detached
     // slots have no open windows (cleared at detach).
     size_t fired = 0;
     while (fired < open.size() && open[fired].first.end <= wm) {
-      EmitResult(key, static_cast<size_t>(open_slots_[s].query),
-                 open[fired].first, adapter_.Lower(open[fired].second));
+      EmitResult(static_cast<size_t>(open_slots_[s].query), open[fired].first,
+                 adapter_.Lower(open[fired].second));
       ++fired;
     }
     if (fired > 0) {
@@ -242,10 +239,9 @@ void WindowAggOperator::FireOpenWindows(const Value& key, KeyState* ks,
   }
 }
 
-void WindowAggOperator::AdvanceKeyWatermark(const Value& key, KeyState* ks,
-                                            Timestamp wm) {
+void WindowAggOperator::AdvanceKeyWatermark(KeyState* ks, Timestamp wm) {
   if (ks->shared) ks->shared->OnWatermark(wm);
-  FireOpenWindows(key, ks, wm);
+  FireOpenWindows(ks, wm);
 }
 
 void WindowAggOperator::ProcessWatermark(Timestamp wm, Collector* out) {
@@ -264,6 +260,7 @@ void WindowAggOperator::ProcessWatermark(Timestamp wm, Collector* out) {
   ApplyCoveredRecords(wm);
   ScheduleDueKeys(wm);
   AdvanceVisitedKeys(wm);
+  emit_key_ = nullptr;  // registry commands fire nothing
   // Attach/detach commands apply here -- the end of a watermark is a
   // deterministic point of the event-time order, so every subtask (and any
   // checkpoint replay) splices queries in at the same place.
@@ -308,6 +305,7 @@ void WindowAggOperator::ApplyCoveredRecords(Timestamp wm) {
     resolve_key(record, &key, &hash);
     auto& entry = *keys_.Emplace(key, hash).first;
     KeyState* ks = &entry.second;
+    emit_key_ = &entry.first;
     // Emplace already logged the upsert: no Touch needed.
     ScheduleVisit(keys_.PositionOf(entry), ks, /*touch=*/false);
     if (!can_batch) {
@@ -391,7 +389,8 @@ void WindowAggOperator::AdvanceVisitedKeys(Timestamp wm) {
     auto& entry = keys_.EntryAt(v.pos);
     if (v.touch && incremental) keys_.Touch(entry);
     KeyState* ks = &entry.second;
-    AdvanceKeyWatermark(entry.first, ks, wm);
+    emit_key_ = &entry.first;
+    AdvanceKeyWatermark(ks, wm);
     ks->next_due = KeyNextDue(ks);
     ArmKey(v.pos, ks);
     AccountSlices(ks);
@@ -433,11 +432,9 @@ void WindowAggOperator::DrainRegistryCommands() {
 }
 
 WindowAggOperator::SharedAgg::ResultCallback
-WindowAggOperator::DynResultCallback(const Value& key, uint64_t id) {
-  // analyzer:allow(record-copy-in-hot-path): once per key per dyn query (new key, attach command, restore), never per record; the callback must own its key
-  Value key_copy = key;
-  return [this, key_copy, id](size_t, const Window& w, const Value& v) {
-    EmitResult(key_copy, id, w, v);
+WindowAggOperator::DynResultCallback(uint64_t id) {
+  return [this, id](size_t, const Window& w, const Value& v) {
+    EmitResult(id, w, v);
   };
 }
 
@@ -451,7 +448,7 @@ void WindowAggOperator::ApplyDynAttach(const DynQuery& dq,
       const size_t got = ks.shared->AttachQuery(
           std::make_unique<SlidingWindowFn>(dq.desc.range, dq.desc.slide,
                                             dq.desc.origin),
-          DynResultCallback(key, dq.id));
+          DynResultCallback(dq.id));
       STREAMLINE_CHECK_EQ(got, slot);
     }
   } else {

@@ -268,7 +268,7 @@ class WindowAggOperator : public Operator {
   /// dyn-query table, so they are the operator's to define.
   struct KeyCodec {
     WindowAggOperator* op;
-    void Init(const Value& key, KeyState* ks) { op->InitKeyState(key, ks); }
+    void Init(const Value&, KeyState* ks) { op->InitKeyState(ks); }
     void Write(const KeyState& ks, BinaryWriter* w) const {
       op->SnapshotKeyState(ks, w);
     }
@@ -280,18 +280,18 @@ class WindowAggOperator : public Operator {
   /// Lays out a new key: the slicer (shared backend) with one query per
   /// spec window and shared dyn entry, and one open-window set per slot, so
   /// snapshots line up.
-  void InitKeyState(const Value& key, KeyState* ks);
+  void InitKeyState(KeyState* ks);
   void ApplyElement(KeyState* ks, const Record& record);
-  void AdvanceKeyWatermark(const Value& key, KeyState* ks, Timestamp wm);
+  void AdvanceKeyWatermark(KeyState* ks, Timestamp wm);
   void SnapshotKeyState(const KeyState& ks, BinaryWriter* w) const;
   Status RestoreKeyState(KeyState* ks, BinaryReader* r);
-  void EmitResult(const Value& key, size_t query, const Window& w,
-                  const Value& result);
+  /// Emits one result under `emit_key_`, the key being applied or advanced.
+  void EmitResult(size_t query, const Window& w, const Value& result);
   /// Folds the record into every window of every active slot that contains
   /// it and begins at or after the slot's min_begin.
   void FoldOpenWindows(KeyState* ks, const Record& record);
   /// Emits and drops every open window that ends at or before `wm`.
-  void FireOpenWindows(const Value& key, KeyState* ks, Timestamp wm);
+  void FireOpenWindows(KeyState* ks, Timestamp wm);
   /// The `u64 n, (i64 start, i64 end, partial)*` codec of one slot.
   static void WriteOpenWindows(const OpenWindows& open, BinaryWriter* w);
   static Status ReadOpenWindows(OpenWindows* open, BinaryReader* r);
@@ -305,9 +305,9 @@ class WindowAggOperator : public Operator {
   /// the live drain and by checkpoint-delta replay (which reconciles the
   /// key layout before re-restoring the keys the epoch touched).
   void ApplyDynAttach(const DynQuery& dq, uint64_t* slices_freed);
-  /// Result callback of shared dyn query `id` on `key`; owns a copy of the
-  /// key.
-  SharedAgg::ResultCallback DynResultCallback(const Value& key, uint64_t id);
+  /// Result callback of shared dyn query `id`; like the spec windows'
+  /// callbacks it emits under `emit_key_`, so it holds no key.
+  SharedAgg::ResultCallback DynResultCallback(uint64_t id);
   void ApplyDynDetach(size_t index, uint64_t* slices_freed);
   /// Slicer slot of dyn entry `index` (spec windows first, then one slot
   /// per shared dyn entry in table order, detached holes included).
@@ -456,6 +456,10 @@ class WindowAggOperator : public Operator {
   // computed on first use (KeyHashOf never returns 0).
   uint64_t global_key_hash_ = 0;
   Collector* current_out_ = nullptr;
+  // Key of the entry being applied or advanced, set next to current_out_:
+  // every result is emitted under it, so the slicers' result callbacks hold
+  // no key and a new key allocates no closure.
+  const Value* emit_key_ = nullptr;
 };
 
 }  // namespace streamline

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.h"
 #include "window/aggregate_fn.h"
 
@@ -164,6 +166,80 @@ TEST(FlatFatStoreTest, RandomizedAgainstLinearOracle) {
           << "range [" << i << ", " << j << ")";
     }
   }
+}
+
+// A default store starts at one leaf and doubles only when an append finds
+// it full: its capacity is always the smallest power of two >= its peak
+// live slice count.
+TEST(FlatFatStoreTest, CapacityFollowsLiveSlices) {
+  FlatFatStore<SumAgg<double>> store;
+  EXPECT_EQ(store.capacity(), 1u);
+  Rng rng(3);
+  size_t appended = 0;
+  size_t peak = 0;
+  for (int step = 0; step < 2000; ++step) {
+    if (rng.NextDouble() < 0.7 || store.size() == 0) {
+      store.Append(static_cast<Timestamp>(appended), 1.0);
+      ++appended;
+    } else {
+      store.EvictBefore(store.BeginIndex() + 1 + rng.NextBelow(2));
+    }
+    peak = std::max(peak, store.size());
+    size_t want = 1;
+    while (want < peak) want <<= 1;
+    ASSERT_EQ(store.capacity(), want) << "step " << step << ", peak " << peak;
+  }
+  EXPECT_GE(peak, 256u);
+}
+
+// Growth relinearizes the ring: leaves and slice starts must both move so
+// the oldest slice lands at position 0, also when evictions left the
+// oldest slice mid-ring. Non-commutative CollectAgg makes any reordering
+// visible; equal starts exercise the LowerBound/HasCutAt tie rules.
+TEST(FlatFatStoreTest, GrowWhileWrappedMatchesLinearOracle) {
+  FlatFatStore<CollectAgg<int>> fat;
+  LinearStore<CollectAgg<int>> oracle;
+  Rng rng(11);
+  Timestamp ts = 0;
+  size_t capacity = fat.capacity();
+  // Slices evicted since the last growth; nonzero mod the old capacity
+  // means the oldest leaf was not at position 0 when the ring doubled.
+  size_t evicted_since_grow = 0;
+  int wrapped_grows = 0;
+  for (int step = 0; step < 3000; ++step) {
+    if (rng.NextDouble() < 0.7 || fat.size() == 0) {
+      ts += static_cast<Timestamp>(rng.NextBelow(2));
+      fat.Append(ts, {step});
+      oracle.Append(ts, {step});
+    } else {
+      const size_t target = fat.BeginIndex() + 1 + rng.NextBelow(2);
+      evicted_since_grow += std::min(target, fat.EndIndex()) -
+                            fat.BeginIndex();
+      fat.EvictBefore(target);
+      oracle.EvictBefore(target);
+    }
+    if (fat.capacity() != capacity) {
+      if (evicted_since_grow % capacity != 0) ++wrapped_grows;
+      capacity = fat.capacity();
+      evicted_since_grow = 0;
+    }
+    ASSERT_EQ(fat.BeginIndex(), oracle.BeginIndex());
+    ASSERT_EQ(fat.EndIndex(), oracle.EndIndex());
+    const size_t i = fat.BeginIndex() + rng.NextBelow(fat.size() + 1);
+    const size_t j = i + rng.NextBelow(fat.EndIndex() - i + 1);
+    ASSERT_EQ(fat.RangeCombine(i, j), oracle.RangeCombine(i, j))
+        << "step " << step << ", range [" << i << ", " << j << ")";
+    ASSERT_EQ(fat.RangeCombine(fat.BeginIndex(), fat.EndIndex()),
+              oracle.RangeCombine(oracle.BeginIndex(), oracle.EndIndex()))
+        << "step " << step;
+    for (Timestamp t = ts - 40; t <= ts + 1; ++t) {
+      ASSERT_EQ(fat.LowerBound(t), oracle.LowerBound(t))
+          << "step " << step << ", t " << t;
+      ASSERT_EQ(fat.HasCutAt(t), oracle.HasCutAt(t))
+          << "step " << step << ", t " << t;
+    }
+  }
+  EXPECT_GE(wrapped_grows, 3);
 }
 
 // ---------------------------------------------------------------------------

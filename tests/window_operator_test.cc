@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <set>
 
 #include "api/datastream.h"
 
@@ -431,6 +432,116 @@ TEST(WindowOperatorTest, ReorderSlabReusesFreedSlots) {
   }
   EXPECT_EQ(peak, 1000u);
   EXPECT_FALSE(results.empty());
+}
+
+// Result callbacks hold no key: every slicer emits under the key of the
+// entry being applied or advanced. 64 string keys (longer than the small
+// string buffer) fire in one watermark -- spec tumbling and session windows
+// plus a shared standing query attached mid-stream -- on a live operator
+// and on one restored from its snapshot. Each key's values are its own
+// index + 1, so a result carrying another key's label misses the oracle.
+TEST(WindowOperatorTest, ManyStringKeysFireUnderTheirOwnKey) {
+  constexpr int kKeys = 64;
+  const auto key_name = [](int i) {
+    return "session-user-with-a-long-name-" + std::to_string(i);
+  };
+  auto registry = std::make_shared<QueryRegistry>();
+  WindowAggSpec spec;
+  spec.key = KeyField(0);
+  spec.value_field = 1;
+  spec.agg_kind = DynAggKind::kSum;
+  spec.windows = {std::make_shared<TumblingWindowFn>(100),
+                  std::make_shared<SessionWindowFn>(30)};
+  spec.registry = registry;
+  // One record per key per 100-unit period, at period + key index.
+  std::map<std::string, std::vector<std::pair<Timestamp, double>>> fed;
+  const auto period = [&](int p) {
+    std::vector<Record> batch;
+    for (int i = 0; i < kKeys; ++i) {
+      const Timestamp ts = 100 * p + i;
+      batch.push_back(MakeRecord(ts, Value(key_name(i)), Value(i + 1.0)));
+      fed[key_name(i)].emplace_back(ts, i + 1.0);
+    }
+    return batch;
+  };
+  // Every result from `from` on must be the sum of its own key's values in
+  // its window.
+  const auto check = [&](const std::vector<Record>& out, size_t from) {
+    for (size_t n = from; n < out.size(); ++n) {
+      const WindowResult r = Parse({out[n]})[0];
+      auto it = fed.find(r.key.AsString());
+      ASSERT_NE(it, fed.end()) << "unknown key " << r.key.AsString();
+      double want = 0;
+      for (const auto& [ts, v] : it->second) {
+        if (r.window.Contains(ts)) want += v;
+      }
+      EXPECT_EQ(r.result.AsDouble(), want)
+          << r.key.AsString() << " query " << r.query << " "
+          << r.window.ToString();
+    }
+  };
+  const auto fired_keys = [](const std::vector<Record>& out, size_t from,
+                             int64_t query) {
+    std::set<std::string> keys;
+    for (size_t n = from; n < out.size(); ++n) {
+      if (out[n].field(3).AsInt64() == query) {
+        keys.insert(out[n].field(0).AsString());
+      }
+    }
+    return keys.size();
+  };
+
+  WindowAggOperator live("w", spec);
+  ASSERT_TRUE(live.Open(OperatorContext{}).ok());
+  std::vector<Record> live_out;
+  VectorCollector out(&live_out);
+  // Half the keys exist when the query attaches (ApplyDynAttach), the rest
+  // are created after it (InitKeyState).
+  std::vector<Record> rest = period(0);
+  std::vector<Record> first(rest.begin(), rest.begin() + kKeys / 2);
+  rest.erase(rest.begin(), rest.begin() + kKeys / 2);
+  live.ProcessBatch(0, std::move(first), &out);
+  live.ProcessWatermark(31, &out);
+  const uint64_t dyn = registry->AttachSliding(200, 100);
+  ASSERT_EQ(registry->PlacementOf(dyn), QueryPlacement::kShared);
+  // Applies the record at 31 (the last early key), then drains the attach;
+  // the later keys' records (ts >= 32) are not late.
+  live.ProcessWatermark(32, &out);
+  live.ProcessBatch(0, std::move(rest), &out);
+  live.ProcessBatch(0, period(1), &out);
+  const size_t before = live_out.size();
+  live.ProcessWatermark(200, &out);  // every key fires [0, 100), [100, 200)
+  EXPECT_EQ(fired_keys(live_out, before, 0), size_t{kKeys});
+  EXPECT_EQ(fired_keys(live_out, before, 1), size_t{kKeys});
+  // Keys created after the attach run the query from their first record;
+  // the earlier keys' first window is [100, 300).
+  EXPECT_GE(fired_keys(live_out, before, static_cast<int64_t>(dyn)),
+            size_t{kKeys / 2});
+  check(live_out, 0);
+
+  BinaryWriter snapshot;
+  ASSERT_TRUE(live.SnapshotState(&snapshot).ok());
+  WindowAggOperator restored("w", spec);
+  ASSERT_TRUE(restored.Open(OperatorContext{}).ok());
+  BinaryReader reader(snapshot.buffer());
+  ASSERT_TRUE(restored.RestoreState(&reader).ok());
+  std::vector<Record> restored_out;
+  VectorCollector rout(&restored_out);
+  const size_t live_mark = live_out.size();
+  for (int p = 2; p < 4; ++p) {
+    std::vector<Record> batch = period(p);
+    restored.ProcessBatch(0, std::vector<Record>(batch), &rout);
+    live.ProcessBatch(0, std::move(batch), &out);
+  }
+  live.ProcessWatermark(400, &out);
+  restored.ProcessWatermark(400, &rout);
+  EXPECT_EQ(fired_keys(restored_out, 0, 0), size_t{kKeys});
+  EXPECT_EQ(fired_keys(restored_out, 0, 1), size_t{kKeys});
+  EXPECT_EQ(fired_keys(restored_out, 0, static_cast<int64_t>(dyn)),
+            size_t{kKeys});
+  check(restored_out, 0);
+  EXPECT_EQ(std::vector<Record>(live_out.begin() + live_mark, live_out.end()),
+            restored_out);
 }
 
 }  // namespace
