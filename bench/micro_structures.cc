@@ -7,9 +7,11 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include <unordered_map>
+#include <vector>
 
 #include "agg/slice_store.h"
 #include "agg/slicing_aggregator.h"
@@ -24,7 +26,7 @@
 #include "window/window_fn.h"
 
 // Global allocation counters (see BM_RecordLifecycleAllocations and
-// BM_SessionKeyLifecycle): count every operator new and the bytes it asked
+// KeyLifecycle): count every operator new and the bytes it asked
 // for, so a benchmark can prove a code path is allocation-free or measure
 // what one unit of work allocates.
 namespace {
@@ -46,10 +48,28 @@ void* operator new[](size_t size) {
   throw std::bad_alloc();
 }
 
+// std::stable_sort takes its temporary buffer through the nothrow forms;
+// they are counted too, and must pair with the free-based deletes.
+void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](size_t size, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, size_t) noexcept { std::free(p); }
 void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace streamline {
 namespace {
@@ -116,36 +136,37 @@ void BM_PrefixStoreRangeQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_PrefixStoreRangeQuery);
 
-// One session key's slicer, from creation to destruction, built the way
-// WindowAggOperator::InitKeyState builds it: a shared Cutty slicer over
-// FlatFAT with one session window, whose result callback captures a single
-// pointer. It folds a 3-element session, fires it and is destroyed.
+// One key's Cutty state in WindowAggOperator, from creation to destruction:
+// a KeySlicer laid out from a slicer context that is built once, outside the
+// timed loop, as the operator builds it in Open (one slot per window, result
+// callbacks capturing a single pointer). The key folds three elements
+// `step` apart, fires its windows at watermark `wm` and is destroyed.
 // allocs_per_key / bytes_per_key count the operator new calls (and the
 // bytes they requested) of one lifetime.
-void BM_SessionKeyLifecycle(benchmark::State& state) {
-  using Slicer =
-      SlicingAggregator<DynAggAdapter, FlatFatStore<DynAggAdapter>>;
-  constexpr Duration kGap = 30000;
-  const DynAggAdapter adapter(DynAggKind::kCount);
-  const SessionWindowFn prototype(kGap);
+void KeyLifecycle(benchmark::State& state, DynAggKind kind,
+                  std::vector<std::unique_ptr<WindowFunction>> windows,
+                  Duration step, Timestamp wm) {
+  using Slicer = KeySlicer<DynAggAdapter, FlatFatStore<DynAggAdapter>>;
   uint64_t fired = 0;
+  SlicerContext<DynAggAdapter> ctx{DynAggAdapter(kind)};
+  for (auto& wf : windows) {
+    ctx.AddSlot(std::move(wf), [&fired](size_t, const Window&, const Value&) {
+      ++fired;
+    });
+  }
   uint64_t keys = 0;
   const uint64_t allocs_before = g_allocs.load();
   const uint64_t bytes_before = g_alloc_bytes.load();
   for (auto _ : state) {
-    auto slicer = std::make_unique<Slicer>(adapter);
-    slicer->AddQuery(prototype.Clone(),
-                     [&fired](size_t, const Window&, const Value&) {
-                       ++fired;
-                     });
-    for (const Timestamp ts : {0, 1000, 2000}) {
-      slicer->OnElement(ts, DynAggAdapter::Input{Value(int64_t{1}), ts},
-                        Value());
+    auto key = std::make_unique<Slicer>(ctx);
+    for (Timestamp ts = 0; ts < 3 * step; ts += step) {
+      key->OnElement(&ctx, ts, DynAggAdapter::Input{Value(int64_t{1}), ts},
+                     Value());
     }
-    slicer->OnWatermark(2000 + kGap + 1);
+    key->OnWatermark(&ctx, wm);
     ++keys;
   }
-  if (fired != keys) state.SkipWithError("a session did not fire");
+  if (fired < keys) state.SkipWithError("a key fired no window");
   const double n = keys > 0 ? static_cast<double>(keys) : 1.0;
   state.SetItemsProcessed(static_cast<int64_t>(keys));
   state.counters["allocs_per_key"] =
@@ -153,7 +174,30 @@ void BM_SessionKeyLifecycle(benchmark::State& state) {
   state.counters["bytes_per_key"] =
       static_cast<double>(g_alloc_bytes.load() - bytes_before) / n;
 }
+
+// A sessions-rest key: one 30 s session window; the watermark closes the
+// session.
+void BM_SessionKeyLifecycle(benchmark::State& state) {
+  constexpr Duration kGap = 30000;
+  std::vector<std::unique_ptr<WindowFunction>> windows;
+  windows.push_back(std::make_unique<SessionWindowFn>(kGap));
+  KeyLifecycle(state, DynAggKind::kCount, std::move(windows), 1000,
+               2000 + kGap + 1);
+}
 BENCHMARK(BM_SessionKeyLifecycle);
+
+// A ctr-ckpt key: four shared sliding windows of 1, 2, 4 and 8 s sliding by
+// 0.5 s (microsecond timestamps); the watermark fires every window that
+// holds an element.
+void BM_CtrKeyLifecycle(benchmark::State& state) {
+  std::vector<std::unique_ptr<WindowFunction>> windows;
+  for (const Duration range : {1'000'000, 2'000'000, 4'000'000, 8'000'000}) {
+    windows.push_back(std::make_unique<SlidingWindowFn>(range, 500'000));
+  }
+  KeyLifecycle(state, DynAggKind::kSum, std::move(windows), 100'000,
+               9'000'000);
+}
+BENCHMARK(BM_CtrKeyLifecycle);
 
 void BM_SlidingWindowFnOnElement(benchmark::State& state) {
   SlidingWindowFn fn(60'000, 1'000);

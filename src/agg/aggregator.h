@@ -63,7 +63,7 @@ class WindowAggregator {
   /// Advances the watermark, firing all windows with end <= wm.
   virtual void OnWatermark(Timestamp wm) = 0;
 
-  virtual const AggStats& stats() const = 0;
+  virtual AggStats stats() const = 0;
   virtual std::string name() const = 0;
 };
 

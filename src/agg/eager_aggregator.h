@@ -123,7 +123,7 @@ class EagerAggregator : public WindowAggregator<Agg> {
     UpdatePeak();
   }
 
-  const AggStats& stats() const override { return stats_; }
+  AggStats stats() const override { return stats_; }
   std::string name() const override { return "eager"; }
 
  private:

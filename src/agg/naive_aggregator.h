@@ -73,7 +73,7 @@ class NaiveBufferAggregator : public WindowAggregator<Agg> {
     Evict();
   }
 
-  const AggStats& stats() const override { return stats_; }
+  AggStats stats() const override { return stats_; }
   std::string name() const override { return "naive"; }
 
   size_t buffered() const { return buffer_.size(); }

@@ -2,6 +2,7 @@
 #define STREAMLINE_AGG_SLICING_AGGREGATOR_H_
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -41,16 +42,27 @@ namespace streamline {
 /// earliest watermark that could change anything, so an owner of many
 /// slicers (the window operator, one per key) advances only the due ones.
 ///
+/// Ownership: the slicer is split in two. A SlicerContext holds what every
+/// key shares -- the aggregate, the options, the slot table (prototype
+/// window function and result callback per slot), the boundary-generator
+/// prototypes and the per-call scratch. A KeySlicer holds one key's state:
+/// exactly what its Snapshot writes (open slice, store, one window-function
+/// clone per slot, counters) plus the wakeup schedule derived from it. One
+/// context serves any number of key slicers as long as one key slicer runs
+/// at a time and no result callback re-enters the context (the scratch is
+/// in use for the whole call). SlicingAggregator is one context with one
+/// key slicer.
+///
 /// Store choice:
 ///   * FlatFatStore — O(log n) fires, any aggregate (default).
 ///   * LinearStore  — O(slices-per-window) fires, "lazy" variant.
 ///   * PrefixStore  — O(1) fires, invertible aggregates only.
-template <typename Agg, typename Store = FlatFatStore<Agg>>
-class SlicingAggregator : public WindowAggregator<Agg> {
+///
+/// This class is the shared half: one per window operator subtask (or one
+/// per standalone SlicingAggregator).
+template <typename Agg>
+class SlicerContext {
  public:
-  using Input = typename Agg::Input;
-  using Partial = typename Agg::Partial;
-  using Output = typename Agg::Output;
   using ResultCallback = typename WindowAggregator<Agg>::ResultCallback;
 
   struct Options {
@@ -64,88 +76,140 @@ class SlicingAggregator : public WindowAggregator<Agg> {
     bool disable_wakeup_fastpath = false;
   };
 
-  explicit SlicingAggregator(Agg agg = Agg(), Options options = Options())
-      : agg_(std::move(agg)),
-        options_(options),
-        store_(agg_),
-        open_partial_(agg_.Identity()) {}
+  explicit SlicerContext(Agg agg = Agg(), Options options = Options())
+      : agg_(std::move(agg)), options_(options) {}
 
-  size_t AddQuery(std::unique_ptr<WindowFunction> wf,
-                  ResultCallback cb) override {
-    STREAMLINE_CHECK_EQ(stats_.elements, 0u)
-        << "use AttachQuery to register queries mid-stream";
-    return AddSlot(std::move(wf), std::move(cb));
+  /// Appends a query slot; every key slicer lays it out with Attach.
+  /// `proto` is never driven: keys run fresh clones of it. Returns the slot
+  /// id (stable, never reused; reported to `cb`).
+  size_t AddSlot(std::unique_ptr<WindowFunction> proto, ResultCallback cb) {
+    slots_.push_back(Slot{std::move(proto), std::move(cb)});
+    ++active_slots_;
+    return slots_.size() - 1;
   }
 
-  /// Registers a query on a (possibly) running aggregator. The window
-  /// function is fast-forwarded to the attach point (windows beginning
-  /// strictly after the last element are served from live data); for
-  /// periodic windows whose begin grid lines up with existing cut points,
-  /// the attach backfills: the first fired windows extend back over intact
-  /// pre-attach slices and are byte-identical to a from-start query.
-  /// Returns the slot id (stable; reported to result callbacks).
-  size_t AttachQuery(std::unique_ptr<WindowFunction> wf, ResultCallback cb) {
-    last_attach_backfilled_ = false;
-    last_attach_backfill_slices_ = 0;
+  /// Deactivates `slot` and releases its prototype and callback; every key
+  /// slicer detaches it too. The slot stays allocated so snapshot layouts
+  /// taken before and after stay compatible.
+  void DetachSlot(size_t slot) {
+    STREAMLINE_CHECK(slot < slots_.size() && slots_[slot].proto != nullptr)
+        << "detach of unknown or already-detached query slot " << slot;
+    slots_[slot] = Slot{};
+    --active_slots_;
+  }
+
+ private:
+  template <typename, typename>
+  friend class KeySlicer;
+  template <typename, typename>
+  friend class SlicingAggregator;
+
+  struct Slot {
+    std::unique_ptr<WindowFunction> proto;  // null = detached slot
+    ResultCallback cb;
+  };
+
+  struct TaggedEvent {
+    WindowEvent event;
+    size_t query;
+    bool boundary_only;
+  };
+
+  Agg agg_;
+  Options options_;
+  std::vector<Slot> slots_;
+  size_t active_slots_ = 0;
+  // Boundary generators: window functions whose *begins* add slice
+  // boundaries but whose window completions are ignored.
+  std::vector<std::unique_ptr<WindowFunction>> gens_;
+
+  // Per-call scratch of the key slicer being driven; its contents never
+  // outlive the call, so the next key starts from empty vectors.
+  std::vector<size_t> poll_queries_;
+  std::vector<size_t> poll_gens_;
+  WindowEvents scratch_;
+  std::vector<TaggedEvent> events_;
+
+  // Results of the most recent Attach: whether it backfilled pre-attach
+  // windows, and how many stored slices the backfill reuses.
+  bool last_attach_backfilled_ = false;
+  uint64_t last_attach_backfill_slices_ = 0;
+};
+
+/// The per-key half of the slicer. Every call that can poll a window
+/// function or fire a window takes the context it was laid out from.
+template <typename Agg, typename Store = FlatFatStore<Agg>>
+class KeySlicer {
+ public:
+  using Input = typename Agg::Input;
+  using Partial = typename Agg::Partial;
+  using Context = SlicerContext<Agg>;
+
+  /// Lays out a key from the context: a fresh clone of every attached
+  /// slot's prototype (detached slots stay empty) and of every boundary
+  /// generator. A new key runs every attached query from its first element.
+  explicit KeySlicer(const Context& ctx)
+      : store_(ctx.agg_), open_partial_(ctx.agg_.Identity()) {
+    slots_.reserve(ctx.slots_.size());
+    for (const typename Context::Slot& s : ctx.slots_) {
+      slots_.push_back(FnState{s.proto ? s.proto->Clone() : nullptr});
+    }
+    ResetGenerators(ctx);
+  }
+
+  /// Lays out the context's newest slot on this key. On a running key the
+  /// window function is fast-forwarded to the attach point (windows
+  /// beginning strictly after the last element are served from live data);
+  /// for periodic windows whose begin grid lines up with existing cut
+  /// points, the attach backfills: the first fired windows extend back over
+  /// intact pre-attach slices and are byte-identical to a from-start query.
+  void Attach(Context* ctx, size_t slot) {
+    STREAMLINE_CHECK_EQ(slot, slots_.size());
+    ctx->last_attach_backfilled_ = false;
+    ctx->last_attach_backfill_slices_ = 0;
+    std::unique_ptr<WindowFunction> wf = ctx->slots_[slot].proto->Clone();
     if (stats_.elements > 0) {
       wf->AttachAt(last_ts_);
       if (auto* sliding = dynamic_cast<SlidingWindowFn*>(wf.get())) {
-        TryBackfill(sliding);
+        TryBackfill(ctx, sliding);
       }
     }
-    return AddSlot(std::move(wf), std::move(cb));
+    slots_.push_back(FnState{std::move(wf)});
+    if (sched_valid_) ArmQuery(*ctx, slot, /*force_needed=*/true);
   }
 
-  /// Unregisters the query in `slot` and immediately evicts every slice no
-  /// remaining query needs. The slot stays allocated (ids are never reused,
-  /// so snapshots taken before and after stay layout-compatible); only its
-  /// window function and callback are released. Returns the number of
-  /// slices freed by the eviction.
-  size_t DetachQuery(size_t slot) {
-    STREAMLINE_CHECK(slot < queries_.size() &&
-                     queries_[slot].wf != nullptr)
-        << "detach of unknown or already-detached query slot " << slot;
-    queries_[slot].wf.reset();
-    queries_[slot].cb = nullptr;
-    --active_queries_;
-    if (sched_valid_) {
-      if (q_elem_wakeup_[slot] == kMinTimestamp) {
-        SortedErase(&always_poll_queries_, slot);
-      }
-      if (q_wm_wakeup_[slot] == kMinTimestamp) {
-        SortedErase(&always_wm_queries_, slot);
-      }
-      // Heap entries for this slot die lazily against these sentinels.
-      q_elem_wakeup_[slot] = kMaxTimestamp;
-      q_wm_wakeup_[slot] = kMaxTimestamp;
+  /// Drops the window function of `slot` and immediately evicts every slice
+  /// no remaining query needs. Returns the number of slices freed.
+  size_t Detach(const Context& ctx, size_t slot) {
+    STREAMLINE_DCHECK(slot < slots_.size() && slots_[slot].wf != nullptr);
+    if (!sched_valid_) RebuildSchedule(ctx);
+    FnState& s = slots_[slot];
+    s.wf.reset();
+    if (s.elem_wakeup == kMinTimestamp) {
+      SortedErase(&always_poll_queries_, slot);
     }
+    if (s.wm_wakeup == kMinTimestamp) SortedErase(&always_wm_queries_, slot);
+    // Heap entries for this slot die lazily against these sentinels.
+    s.elem_wakeup = s.wm_wakeup = kMaxTimestamp;
     const size_t before = store_.size();
     Evict();
     return before - store_.size();
   }
 
-  /// Registers a window function whose *begins* add slice boundaries but
-  /// whose window completions are ignored. Used to emulate the extra cut
-  /// points of Pairs (window ends) and Panes (gcd grid).
-  void AddBoundaryGenerator(std::unique_ptr<WindowFunction> wf) {
+  /// Re-clones the context's boundary generators (before the first element
+  /// only).
+  void ResetGenerators(const Context& ctx) {
     STREAMLINE_CHECK_EQ(stats_.elements, 0u);
-    boundary_gens_.push_back(std::move(wf));
+    gens_.clear();
+    for (const auto& g : ctx.gens_) gens_.push_back(FnState{g->Clone()});
     sched_valid_ = false;
   }
 
-  void ClearBoundaryGenerators() {
-    STREAMLINE_CHECK_EQ(stats_.elements, 0u);
-    boundary_gens_.clear();
-    sched_valid_ = false;
-  }
-
-  using WindowAggregator<Agg>::OnElement;
-
-  void OnElement(Timestamp ts, const Input& value,
-                 const Value& payload) override {
+  void OnElement(Context* ctx, Timestamp ts, const Input& value,
+                 const Value& payload) {
     STREAMLINE_DCHECK(stats_.elements == 0 || ts >= last_ts_);
     last_ts_ = ts;
-    if (!sched_valid_) RebuildSchedule();
+    if (!sched_valid_) RebuildSchedule(*ctx);
 
     // 1) Collect window events, merge them in (at, end-before-begin) order
     //    and apply them. All of this happens BEFORE the element is
@@ -159,13 +223,13 @@ class SlicingAggregator : public WindowAggregator<Agg> {
     const bool heap_due = ts >= wakeup_threshold_;
     if (heap_due || !always_poll_queries_.empty() ||
         !always_poll_gens_.empty()) {
-      CollectElementEvents(ts, payload, heap_due);
-      ProcessEvents();
+      CollectElementEvents(ctx, ts, payload, heap_due);
+      ProcessEvents(ctx);
       if (heap_due) wakeup_threshold_ = ElemHeapMin();
     }
 
-    if (options_.slice_per_element && has_open_data_) {
-      CloseSliceAt(ts);
+    if (ctx->options_.slice_per_element && has_open_data_) {
+      CloseSliceAt(*ctx, ts);
     }
 
     // 2) The single per-record aggregation: fold the element into the open
@@ -177,7 +241,7 @@ class SlicingAggregator : public WindowAggregator<Agg> {
       has_open_slice_ = true;
       open_start_ = ts;
     }
-    open_partial_ = agg_.Combine(open_partial_, agg_.Lift(value));
+    open_partial_ = ctx->agg_.Combine(open_partial_, ctx->agg_.Lift(value));
     has_open_data_ = true;
     ++stats_.partial_updates;
     ++stats_.elements;
@@ -186,11 +250,11 @@ class SlicingAggregator : public WindowAggregator<Agg> {
     //    the current element is included. Only data-driven functions have
     //    AfterElement events.
     if (!always_poll_queries_.empty()) {
-      CollectAfterElementEvents(ts, payload);
-      ProcessEvents();
+      CollectAfterElementEvents(ctx, ts, payload);
+      ProcessEvents(ctx);
     }
 
-    if (stats_.elements % options_.eviction_period == 0) Evict();
+    if (stats_.elements % ctx->options_.eviction_period == 0) Evict();
     UpdatePeak();
   }
 
@@ -201,17 +265,18 @@ class SlicingAggregator : public WindowAggregator<Agg> {
   /// per-element Combine, so results are bit-identical. Elements at or past
   /// the threshold (and all elements when a data-driven query is registered
   /// or the slicer emulates per-tuple slices) fall back to OnElement.
-  void OnElements(const Timestamp* ts, const Input* values,
-                  size_t n) override {
-    if (!sched_valid_) RebuildSchedule();
+  void OnElements(Context* ctx, const Timestamp* ts, const Input* values,
+                  size_t n) {
+    if (!sched_valid_) RebuildSchedule(*ctx);
+    const uint64_t period = ctx->options_.eviction_period;
     size_t i = 0;
     while (i < n) {
       const bool fast =
-          !options_.slice_per_element &&
+          !ctx->options_.slice_per_element &&
           always_poll_queries_.empty() && always_poll_gens_.empty() &&
           ts[i] < wakeup_threshold_;
       if (!fast) {
-        OnElement(ts[i], values[i], Value());
+        OnElement(ctx, ts[i], values[i], Value());
         ++i;
         continue;
       }
@@ -222,7 +287,7 @@ class SlicingAggregator : public WindowAggregator<Agg> {
         has_open_slice_ = true;
         open_start_ = ts[i];
       }
-      AggFoldSpan(agg_, &open_partial_, values + i, j - i);
+      AggFoldSpan(ctx->agg_, &open_partial_, values + i, j - i);
       has_open_data_ = true;
       last_ts_ = ts[j - 1];
       const uint64_t before = stats_.elements;
@@ -231,57 +296,56 @@ class SlicingAggregator : public WindowAggregator<Agg> {
       // Same eviction cadence as per-element: evict iff the run crossed an
       // eviction-period boundary (Evict is idempotent while no window
       // events intervene, so once per run equals once per crossing).
-      if (before / options_.eviction_period !=
-          stats_.elements / options_.eviction_period) {
-        Evict();
-      }
+      if (before / period != stats_.elements / period) Evict();
       UpdatePeak();
       i = j;
     }
   }
 
-  void OnWatermark(Timestamp wm) override {
-    if (!sched_valid_) RebuildSchedule();
+  void OnWatermark(Context* ctx, Timestamp wm) {
+    if (!sched_valid_) RebuildSchedule(*ctx);
     // Watermarks only complete windows; poll the queries whose watermark
     // wakeup is covered (wm min-heap) plus the always-polled ones. Boundary
     // generators contribute begins only, so they are never watermark-polled.
-    poll_queries_.clear();
+    std::vector<size_t>& poll = ctx->poll_queries_;
+    poll.clear();
     if (wm == kMaxTimestamp) {
       // End of stream: every function is due (kMaxTimestamp wakeups mean
       // "end of stream only"), so poll every attached query.
       wm_heap_.clear();
-      for (size_t q = 0; q < queries_.size(); ++q) {
-        if (queries_[q].wf == nullptr) continue;
-        if (q_wm_wakeup_[q] != kMinTimestamp) q_wm_wakeup_[q] = kMaxTimestamp;
-        poll_queries_.push_back(q);
+      for (size_t q = 0; q < slots_.size(); ++q) {
+        if (slots_[q].wf == nullptr) continue;
+        if (slots_[q].wm_wakeup != kMinTimestamp) {
+          slots_[q].wm_wakeup = kMaxTimestamp;
+        }
+        poll.push_back(q);
       }
     } else {
-      poll_queries_.assign(always_wm_queries_.begin(),
-                           always_wm_queries_.end());
+      poll.assign(always_wm_queries_.begin(), always_wm_queries_.end());
       while (!wm_heap_.empty() && wm_heap_.front().first <= wm) {
         const auto [at, q] = wm_heap_.front();
         PopHeap(&wm_heap_);
-        if (q_wm_wakeup_[q] != at) continue;  // stale (re-armed or detached)
-        q_wm_wakeup_[q] = kMaxTimestamp;
-        if (queries_[q].wf->NextWatermarkWakeup() <= wm) {
-          poll_queries_.push_back(q);
+        if (slots_[q].wm_wakeup != at) continue;  // stale (re-armed/detached)
+        slots_[q].wm_wakeup = kMaxTimestamp;
+        if (slots_[q].wf->NextWatermarkWakeup() <= wm) {
+          poll.push_back(q);
         } else {
-          ArmWatermark(q);  // lazily armed: the wakeup moved later
+          ArmWatermark(*ctx, q);  // lazily armed: the wakeup moved later
         }
       }
-      std::sort(poll_queries_.begin(), poll_queries_.end());
+      std::sort(poll.begin(), poll.end());
     }
-    events_.clear();
-    for (size_t q : poll_queries_) {
-      scratch_.clear();
-      queries_[q].wf->OnWatermark(wm, &scratch_);
-      for (const WindowEvent& e : scratch_) {
-        events_.push_back(TaggedEvent{e, q, /*boundary_only=*/false});
+    ctx->events_.clear();
+    for (size_t q : poll) {
+      ctx->scratch_.clear();
+      slots_[q].wf->OnWatermark(wm, &ctx->scratch_);
+      for (const WindowEvent& e : ctx->scratch_) {
+        ctx->events_.push_back({e, q, /*boundary_only=*/false});
       }
-      ArmQuery(q, /*force_needed=*/false);
+      ArmQuery(*ctx, q, /*force_needed=*/false);
     }
-    SortEvents();
-    ProcessEvents();
+    SortEvents(ctx);
+    ProcessEvents(ctx);
     Evict();
     UpdatePeak();
     wakeup_threshold_ = ElemHeapMin();
@@ -294,50 +358,36 @@ class SlicingAggregator : public WindowAggregator<Agg> {
   /// no element arrived since the last OnWatermark -- elements may owe an
   /// eviction, so their key is advanced regardless. Settles lazily armed
   /// heap entries, hence non-const.
-  Timestamp NextDue() {
-    if (!sched_valid_) RebuildSchedule();
+  Timestamp NextDue(const Context& ctx) {
+    if (!sched_valid_) RebuildSchedule(ctx);
     while (!wm_heap_.empty()) {
       const auto [at, q] = wm_heap_.front();
-      if (q_wm_wakeup_[q] == at &&
-          queries_[q].wf->NextWatermarkWakeup() == at) {
+      if (slots_[q].wm_wakeup == at &&
+          slots_[q].wf->NextWatermarkWakeup() == at) {
         break;
       }
       PopHeap(&wm_heap_);
-      if (q_wm_wakeup_[q] != at) continue;  // stale
-      q_wm_wakeup_[q] = kMaxTimestamp;
-      ArmWatermark(q);
+      if (slots_[q].wm_wakeup != at) continue;  // stale
+      slots_[q].wm_wakeup = kMaxTimestamp;
+      ArmWatermark(ctx, q);
     }
     if (!always_wm_queries_.empty()) return kMinTimestamp;
     return wm_heap_.empty() ? kMaxTimestamp : wm_heap_.front().first;
   }
 
-  const AggStats& stats() const override {
-    // Fold store-side combines into the reported counters.
-    cached_stats_ = stats_;
-    cached_stats_.combine_ops = fire_combine_ops_ + store_.combine_ops();
-    return cached_stats_;
+  /// Work counters, with the store's combines folded in.
+  AggStats stats() const {
+    AggStats s = stats_;
+    s.combine_ops += store_.combine_ops();
+    return s;
   }
 
-  std::string name() const override {
-    return options_.slice_per_element ? "slicing(per-tuple)" : "cutty";
-  }
-
-  /// Number of slices currently held in the shared store.
+  /// Number of slices currently held in the store.
   size_t stored_slices() const { return store_.size(); }
-  /// Total slots ever allocated (attached + detached).
-  size_t num_slots() const { return queries_.size(); }
-  /// Currently attached queries.
-  size_t active_queries() const { return active_queries_; }
-  /// Whether the most recent AttachQuery backfilled pre-attach windows.
-  bool last_attach_backfilled() const { return last_attach_backfilled_; }
-  /// Stored slices the most recent backfilled attach reuses.
-  uint64_t last_attach_backfill_slices() const {
-    return last_attach_backfill_slices_;
-  }
 
   /// Serializes the full aggregation state (open slice, per-query window
-  /// progress, shared store, counters) for engine checkpoints. Detached
-  /// slots are recorded as inactive so the slot layout round-trips.
+  /// progress, store, counters) for engine checkpoints. Detached slots are
+  /// recorded as inactive so the slot layout round-trips.
   /// `ser(partial, writer)` encodes one Partial.
   template <typename SerFn>
   void Snapshot(BinaryWriter* w, const SerFn& ser) const {
@@ -346,25 +396,20 @@ class SlicingAggregator : public WindowAggregator<Agg> {
     w->WriteI64(open_start_);
     ser(open_partial_, w);
     w->WriteI64(last_ts_);
-    w->WriteU64(queries_.size());
-    for (const QueryState& q : queries_) {
+    w->WriteU64(slots_.size());
+    for (const FnState& q : slots_) {
       w->WriteBool(q.wf != nullptr);
       if (q.wf) q.wf->SnapshotState(w);
     }
-    w->WriteU64(boundary_gens_.size());
-    for (const auto& g : boundary_gens_) g->SnapshotState(w);
+    w->WriteU64(gens_.size());
+    for (const FnState& g : gens_) g.wf->SnapshotState(w);
     store_.Snapshot(w, ser);
-    w->WriteU64(stats_.elements);
-    w->WriteU64(stats_.partial_updates);
-    w->WriteU64(stats_.fires);
-    w->WriteU64(stats_.slices_created);
-    w->WriteU64(stats_.peak_stored);
-    w->WriteU64(fire_combine_ops_);
+    for (const uint64_t* c : Counters(&stats_)) w->WriteU64(*c);
   }
 
-  /// Restores a snapshot taken by an identically configured aggregator
-  /// (same slot layout incl. detached holes, same boundary generators, same
-  /// store type).
+  /// Restores a snapshot taken by an identically laid out key slicer (same
+  /// slot layout incl. detached holes, same boundary generators, same store
+  /// type).
   template <typename DeFn>
   Status Restore(BinaryReader* r, const DeFn& de) {
     auto open_slice = r->ReadBool();
@@ -379,12 +424,12 @@ class SlicingAggregator : public WindowAggregator<Agg> {
     if (!last_ts.ok()) return last_ts.status();
     auto nq = r->ReadU64();
     if (!nq.ok()) return nq.status();
-    if (*nq != queries_.size()) {
+    if (*nq != slots_.size()) {
       return Status::FailedPrecondition(
           "snapshot has " + std::to_string(*nq) + " queries, aggregator has " +
-          std::to_string(queries_.size()));
+          std::to_string(slots_.size()));
     }
-    for (QueryState& q : queries_) {
+    for (FnState& q : slots_) {
       auto active = r->ReadBool();
       if (!active.ok()) return active.status();
       if (*active != (q.wf != nullptr)) {
@@ -395,11 +440,11 @@ class SlicingAggregator : public WindowAggregator<Agg> {
     }
     auto ng = r->ReadU64();
     if (!ng.ok()) return ng.status();
-    if (*ng != boundary_gens_.size()) {
+    if (*ng != gens_.size()) {
       return Status::FailedPrecondition("boundary generator count mismatch");
     }
-    for (auto& g : boundary_gens_) {
-      STREAMLINE_RETURN_IF_ERROR(g->RestoreState(r));
+    for (FnState& g : gens_) {
+      STREAMLINE_RETURN_IF_ERROR(g.wf->RestoreState(r));
     }
     STREAMLINE_RETURN_IF_ERROR(store_.Restore(r, de));
     has_open_slice_ = *open_slice;
@@ -407,36 +452,33 @@ class SlicingAggregator : public WindowAggregator<Agg> {
     open_start_ = *open_start;
     open_partial_ = std::move(*open_partial);
     last_ts_ = *last_ts;
-    auto read_u64 = [&](uint64_t* out) -> Status {
+    for (uint64_t* c : Counters(&stats_)) {
       auto v = r->ReadU64();
       if (!v.ok()) return v.status();
-      *out = *v;
-      return Status::Ok();
-    };
-    STREAMLINE_RETURN_IF_ERROR(read_u64(&stats_.elements));
-    STREAMLINE_RETURN_IF_ERROR(read_u64(&stats_.partial_updates));
-    STREAMLINE_RETURN_IF_ERROR(read_u64(&stats_.fires));
-    STREAMLINE_RETURN_IF_ERROR(read_u64(&stats_.slices_created));
-    STREAMLINE_RETURN_IF_ERROR(read_u64(&stats_.peak_stored));
-    STREAMLINE_RETURN_IF_ERROR(read_u64(&fire_combine_ops_));
+      *c = *v;
+    }
     sched_valid_ = false;  // heaps rebuilt on the next element/watermark
     return Status::Ok();
   }
 
- protected:
-  const Agg& agg() const { return agg_; }
-
  private:
-  struct QueryState {
+  using TaggedEvent = typename Context::TaggedEvent;
+
+  /// A slot's (or boundary generator's) window function and its armed
+  /// wakeups (see the scheduling members below). Generators use only the
+  /// element wakeup.
+  struct FnState {
     std::unique_ptr<WindowFunction> wf;  // null = detached slot
-    ResultCallback cb;
+    Timestamp elem_wakeup = kMaxTimestamp;
+    Timestamp wm_wakeup = kMaxTimestamp;
   };
 
-  struct TaggedEvent {
-    WindowEvent event;
-    size_t query;
-    bool boundary_only;
-  };
+  /// The counters a snapshot carries, in snapshot order.
+  template <typename S>
+  static auto Counters(S* s) -> std::array<decltype(&s->elements), 6> {
+    return {&s->elements,       &s->partial_updates, &s->fires,
+            &s->slices_created, &s->peak_stored,     &s->combine_ops};
+  }
 
   // Boundary-generator ids share the element heap with query ids; the top
   // bit tells them apart (slot counts never get near 2^63).
@@ -460,50 +502,36 @@ class SlicingAggregator : public WindowAggregator<Agg> {
     if (it != v->end() && *it == id) v->erase(it);
   }
 
-  size_t AddSlot(std::unique_ptr<WindowFunction> wf, ResultCallback cb) {
-    const size_t slot = queries_.size();
-    queries_.push_back(QueryState{std::move(wf), std::move(cb)});
-    ++active_queries_;
-    if (sched_valid_) ScheduleNewSlot(slot);
-    return slot;
-  }
-
-  // Backfill pass of AttachQuery: walk the new query's begin grid downward
-  // from the attach point while each grid point is an intact cut (a
-  // retained stored-slice start, or the open slice's start). Every window
-  // beginning at such a point combines exactly the elements >= that cut, so
-  // lowering the query's first window end to the earliest intact begin
-  // serves correct pre-attach results from shared state. The walk stops at
-  // the first missing cut: a stored slice might span that grid point, and a
+  // Backfill pass of Attach: walk the new query's begin grid downward from
+  // the attach point while each grid point is an intact cut (a retained
+  // stored-slice start, or the open slice's start). Every window beginning
+  // at such a point combines exactly the elements >= that cut, so lowering
+  // the query's first window end to the earliest intact begin serves
+  // correct pre-attach results from shared state. The walk stops at the
+  // first missing cut: a stored slice might span that grid point, and a
   // spanned begin would leak older elements into the window.
-  void TryBackfill(SlidingWindowFn* wf) {
+  void TryBackfill(Context* ctx, SlidingWindowFn* wf) {
     const Timestamp lo = last_ts_ - wf->range();  // begins must be > lo
     Timestamp b = wf->NextGridPointAfter(last_ts_) - wf->slide();
     Timestamp earliest = kMaxTimestamp;
-    while (b > lo && HasIntactCutAt(b)) {
+    // An intact cut: a retained stored-slice start or the open slice's.
+    while (b > lo && ((has_open_slice_ && open_start_ == b) ||
+                      store_.HasCutAt(b))) {
       earliest = b;
       b -= wf->slide();
     }
     if (earliest == kMaxTimestamp) return;
     wf->BackfillTo(earliest);
-    last_attach_backfilled_ = true;
-    last_attach_backfill_slices_ =
+    ctx->last_attach_backfilled_ = true;
+    ctx->last_attach_backfill_slices_ =
         store_.EndIndex() - store_.LowerBound(earliest);
-  }
-
-  bool HasIntactCutAt(Timestamp t) const {
-    if (has_open_slice_ && open_start_ == t) return true;
-    return store_.HasCutAt(t);
   }
 
   // ---- scheduling ---------------------------------------------------------
 
-  void RebuildSchedule() {
-    const size_t nq = queries_.size();
-    const size_t ng = boundary_gens_.size();
-    q_elem_wakeup_.assign(nq, kMaxTimestamp);
-    q_wm_wakeup_.assign(nq, kMaxTimestamp);
-    g_elem_wakeup_.assign(ng, kMaxTimestamp);
+  void RebuildSchedule(const Context& ctx) {
+    for (FnState& s : slots_) s.elem_wakeup = s.wm_wakeup = kMaxTimestamp;
+    for (FnState& g : gens_) g.elem_wakeup = kMaxTimestamp;
     always_poll_queries_.clear();
     always_wm_queries_.clear();
     always_poll_gens_.clear();
@@ -512,63 +540,30 @@ class SlicingAggregator : public WindowAggregator<Agg> {
     needed_heap_.clear();
     wakeup_threshold_ = kMaxTimestamp;
     sched_valid_ = true;
-    if (options_.disable_wakeup_fastpath) {
-      // Ablation: everything is polled on every element and watermark.
-      for (size_t q = 0; q < nq; ++q) {
-        if (queries_[q].wf == nullptr) continue;
-        q_elem_wakeup_[q] = kMinTimestamp;
-        always_poll_queries_.push_back(q);
-        q_wm_wakeup_[q] = kMinTimestamp;
-        always_wm_queries_.push_back(q);
-      }
-      for (size_t g = 0; g < ng; ++g) {
-        g_elem_wakeup_[g] = kMinTimestamp;
-        always_poll_gens_.push_back(g);
-      }
-      return;
+    for (size_t q = 0; q < slots_.size(); ++q) {
+      if (slots_[q].wf) ArmQuery(ctx, q, /*force_needed=*/true);
     }
-    for (size_t q = 0; q < nq; ++q) {
-      if (queries_[q].wf) ArmQuery(q, /*force_needed=*/true);
-    }
-    for (size_t g = 0; g < ng; ++g) ArmGen(g);
+    for (size_t g = 0; g < gens_.size(); ++g) ArmGen(ctx, g);
     wakeup_threshold_ = ElemHeapMin();
   }
 
-  void ScheduleNewSlot(size_t slot) {
-    q_elem_wakeup_.push_back(kMaxTimestamp);
-    q_wm_wakeup_.push_back(kMaxTimestamp);
-    if (options_.disable_wakeup_fastpath) {
-      q_elem_wakeup_[slot] = kMinTimestamp;
-      always_poll_queries_.push_back(slot);  // slot ids ascend; stays sorted
-      q_wm_wakeup_[slot] = kMinTimestamp;
-      always_wm_queries_.push_back(slot);
-      return;
-    }
-    ArmQuery(slot, /*force_needed=*/true);
+  /// A function's published wakeup. The ablation reads every wakeup as
+  /// kMinTimestamp: everything is polled on every element and watermark.
+  static Timestamp Published(const Context& ctx, Timestamp wakeup) {
+    return ctx.options_.disable_wakeup_fastpath ? kMinTimestamp : wakeup;
   }
 
   /// Re-publishes both wakeup channels of query `q` after a poll (or at
   /// registration). Membership moves between the always-poll lists (wakeup
   /// == kMinTimestamp) and the min-heaps; a query migrating out of
   /// always-poll (or force-registered) enters the eviction lower-bound heap.
-  void ArmQuery(size_t q, bool force_needed) {
-    if (options_.disable_wakeup_fastpath) return;
-    WindowFunction* wf = queries_[q].wf.get();
-    const bool was_always = q_elem_wakeup_[q] == kMinTimestamp;
-    const Timestamp we = wf->NextWakeup();
-    if (we != q_elem_wakeup_[q]) {
-      if (was_always) SortedErase(&always_poll_queries_, q);
-      q_elem_wakeup_[q] = we;
-      if (we == kMinTimestamp) {
-        SortedInsert(&always_poll_queries_, q);
-      } else if (we != kMaxTimestamp) {
-        PushHeap(&elem_heap_, we, q);
-        wakeup_threshold_ = std::min(wakeup_threshold_, we);
-      }
-    }
-    ArmWatermark(q);
-    if (q_elem_wakeup_[q] != kMinTimestamp && (was_always || force_needed)) {
-      const Timestamp need = wf->OldestNeededBegin();
+  void ArmQuery(const Context& ctx, size_t q, bool force_needed) {
+    FnState& s = slots_[q];
+    const bool was_always = s.elem_wakeup == kMinTimestamp;
+    ArmElement(ctx, &s, &always_poll_queries_, q, q);
+    ArmWatermark(ctx, q);
+    if (s.elem_wakeup != kMinTimestamp && (was_always || force_needed)) {
+      const Timestamp need = s.wf->OldestNeededBegin();
       if (need != kMaxTimestamp) PushHeap(&needed_heap_, need, q);
     }
   }
@@ -578,15 +573,16 @@ class SlicingAggregator : public WindowAggregator<Agg> {
   /// re-arms it at the function's current wakeup. A session's wakeup moves
   /// with every element, so this is one heap push per popped entry instead
   /// of one per element.
-  void ArmWatermark(size_t q) {
-    const Timestamp ww = queries_[q].wf->NextWatermarkWakeup();
-    const Timestamp armed = q_wm_wakeup_[q];
+  void ArmWatermark(const Context& ctx, size_t q) {
+    FnState& s = slots_[q];
+    const Timestamp ww = Published(ctx, s.wf->NextWatermarkWakeup());
+    const Timestamp armed = s.wm_wakeup;
     if (ww == armed) return;
     if (armed != kMinTimestamp && armed != kMaxTimestamp && ww > armed) {
       return;
     }
     if (armed == kMinTimestamp) SortedErase(&always_wm_queries_, q);
-    q_wm_wakeup_[q] = ww;
+    s.wm_wakeup = ww;
     if (ww == kMinTimestamp) {
       SortedInsert(&always_wm_queries_, q);
     } else if (ww != kMaxTimestamp) {
@@ -594,18 +590,23 @@ class SlicingAggregator : public WindowAggregator<Agg> {
     }
   }
 
-  void ArmGen(size_t g) {
-    if (options_.disable_wakeup_fastpath) return;
-    const Timestamp w = boundary_gens_[g]->NextWakeup();
-    if (w == g_elem_wakeup_[g]) return;
-    if (g_elem_wakeup_[g] == kMinTimestamp) {
-      SortedErase(&always_poll_gens_, g);
-    }
-    g_elem_wakeup_[g] = w;
+  void ArmGen(const Context& ctx, size_t g) {
+    ArmElement(ctx, &gens_[g], &always_poll_gens_, g, g | kGenIdFlag);
+  }
+
+  /// Element channel of ArmQuery and ArmGen: files `s` (list id `id`) in
+  /// `always` while its wakeup is kMinTimestamp, else in the element heap
+  /// under `heap_id`.
+  void ArmElement(const Context& ctx, FnState* s, std::vector<size_t>* always,
+                  size_t id, size_t heap_id) {
+    const Timestamp w = Published(ctx, s->wf->NextWakeup());
+    if (w == s->elem_wakeup) return;
+    if (s->elem_wakeup == kMinTimestamp) SortedErase(always, id);
+    s->elem_wakeup = w;
     if (w == kMinTimestamp) {
-      SortedInsert(&always_poll_gens_, g);
+      SortedInsert(always, id);
     } else if (w != kMaxTimestamp) {
-      PushHeap(&elem_heap_, w, g | kGenIdFlag);
+      PushHeap(&elem_heap_, w, heap_id);
       wakeup_threshold_ = std::min(wakeup_threshold_, w);
     }
   }
@@ -616,8 +617,8 @@ class SlicingAggregator : public WindowAggregator<Agg> {
     while (!elem_heap_.empty()) {
       const auto [at, id] = elem_heap_.front();
       const Timestamp cur = (id & kGenIdFlag)
-                                ? g_elem_wakeup_[id & ~kGenIdFlag]
-                                : q_elem_wakeup_[id];
+                                ? gens_[id & ~kGenIdFlag].elem_wakeup
+                                : slots_[id].elem_wakeup;
       if (cur == at) return at;
       PopHeap(&elem_heap_);
     }
@@ -629,68 +630,67 @@ class SlicingAggregator : public WindowAggregator<Agg> {
   /// Polls the data-driven functions plus (when `heap_due`) every periodic
   /// function whose wakeup is covered by `ts`, in ascending slot order (the
   /// order the full scan used, so event tie-breaking is unchanged).
-  void CollectElementEvents(Timestamp ts, const Value& payload,
+  void CollectElementEvents(Context* ctx, Timestamp ts, const Value& payload,
                             bool heap_due) {
-    poll_queries_.assign(always_poll_queries_.begin(),
-                         always_poll_queries_.end());
-    poll_gens_.assign(always_poll_gens_.begin(), always_poll_gens_.end());
+    std::vector<size_t>& poll_queries = ctx->poll_queries_;
+    std::vector<size_t>& poll_gens = ctx->poll_gens_;
+    poll_queries.assign(always_poll_queries_.begin(),
+                        always_poll_queries_.end());
+    poll_gens.assign(always_poll_gens_.begin(), always_poll_gens_.end());
     if (heap_due) {
       while (!elem_heap_.empty() && elem_heap_.front().first <= ts) {
         const auto [at, id] = elem_heap_.front();
         PopHeap(&elem_heap_);
-        if (id & kGenIdFlag) {
-          const size_t g = id & ~kGenIdFlag;
-          if (g_elem_wakeup_[g] != at) continue;  // stale
-          g_elem_wakeup_[g] = kMaxTimestamp;
-          poll_gens_.push_back(g);
-        } else {
-          if (q_elem_wakeup_[id] != at) continue;  // stale
-          q_elem_wakeup_[id] = kMaxTimestamp;
-          poll_queries_.push_back(id);
-        }
+        const bool gen = id & kGenIdFlag;
+        FnState& s = gen ? gens_[id & ~kGenIdFlag] : slots_[id];
+        if (s.elem_wakeup != at) continue;  // stale
+        s.elem_wakeup = kMaxTimestamp;
+        (gen ? poll_gens : poll_queries).push_back(id & ~kGenIdFlag);
       }
-      std::sort(poll_queries_.begin(), poll_queries_.end());
-      std::sort(poll_gens_.begin(), poll_gens_.end());
+      std::sort(poll_queries.begin(), poll_queries.end());
+      std::sort(poll_gens.begin(), poll_gens.end());
     }
-    events_.clear();
-    for (size_t q : poll_queries_) {
-      scratch_.clear();
-      queries_[q].wf->OnElement(ts, payload, &scratch_);
-      for (const WindowEvent& e : scratch_) {
-        events_.push_back(TaggedEvent{e, q, false});
+    ctx->events_.clear();
+    for (size_t q : poll_queries) {
+      ctx->scratch_.clear();
+      slots_[q].wf->OnElement(ts, payload, &ctx->scratch_);
+      for (const WindowEvent& e : ctx->scratch_) {
+        ctx->events_.push_back({e, q, false});
       }
-      ArmQuery(q, /*force_needed=*/false);
+      ArmQuery(*ctx, q, /*force_needed=*/false);
     }
-    for (size_t g : poll_gens_) {
-      scratch_.clear();
-      boundary_gens_[g]->OnElement(ts, payload, &scratch_);
-      for (const WindowEvent& e : scratch_) {
+    for (size_t g : poll_gens) {
+      ctx->scratch_.clear();
+      gens_[g].wf->OnElement(ts, payload, &ctx->scratch_);
+      for (const WindowEvent& e : ctx->scratch_) {
         if (e.kind == WindowEvent::Kind::kBegin) {
-          events_.push_back(TaggedEvent{e, 0, true});
+          ctx->events_.push_back({e, 0, true});
         }
       }
-      ArmGen(g);
+      ArmGen(*ctx, g);
     }
-    SortEvents();
+    SortEvents(ctx);
   }
 
-  void CollectAfterElementEvents(Timestamp ts, const Value& payload) {
-    events_.clear();
+  void CollectAfterElementEvents(Context* ctx, Timestamp ts,
+                                 const Value& payload) {
+    ctx->events_.clear();
     // Only data-driven functions produce AfterElement events, and polling
     // never changes their always-poll membership (they stay data-driven).
     for (size_t q : always_poll_queries_) {
-      scratch_.clear();
-      queries_[q].wf->AfterElement(ts, payload, &scratch_);
-      for (const WindowEvent& e : scratch_) {
-        events_.push_back(TaggedEvent{e, q, false});
+      ctx->scratch_.clear();
+      slots_[q].wf->AfterElement(ts, payload, &ctx->scratch_);
+      for (const WindowEvent& e : ctx->scratch_) {
+        ctx->events_.push_back({e, q, false});
       }
     }
-    SortEvents();
+    SortEvents(ctx);
   }
 
-  void SortEvents() {
-    if (events_.size() < 2) return;
-    std::stable_sort(events_.begin(), events_.end(),
+  static void SortEvents(Context* ctx) {
+    std::vector<TaggedEvent>& events = ctx->events_;
+    if (events.size() < 2) return;
+    std::stable_sort(events.begin(), events.end(),
                      [](const TaggedEvent& a, const TaggedEvent& b) {
                        if (a.event.at != b.event.at) {
                          return a.event.at < b.event.at;
@@ -701,26 +701,26 @@ class SlicingAggregator : public WindowAggregator<Agg> {
                      });
   }
 
-  void ProcessEvents() {
-    for (const TaggedEvent& te : events_) {
+  void ProcessEvents(Context* ctx) {
+    for (const TaggedEvent& te : ctx->events_) {
       if (te.event.kind == WindowEvent::Kind::kBegin) {
-        CloseSliceAt(te.event.at);
+        CloseSliceAt(*ctx, te.event.at);
       } else if (!te.boundary_only) {
-        Fire(te.query, te.event.window);
+        Fire(*ctx, te.query, te.event.window);
       }
     }
-    events_.clear();
+    ctx->events_.clear();
   }
 
   // Cuts a slice boundary at time `at`: pushes the open slice (if it holds
-  // data) into the shared store and opens a fresh slice starting at `at`.
-  void CloseSliceAt(Timestamp at) {
+  // data) into the store and opens a fresh slice starting at `at`.
+  void CloseSliceAt(const Context& ctx, Timestamp at) {
     if (has_open_slice_ && at == open_start_ && !has_open_data_) {
       return;  // duplicate boundary from another query
     }
     if (has_open_slice_ && has_open_data_) {
       store_.Append(open_start_, std::move(open_partial_));
-      open_partial_ = agg_.Identity();
+      open_partial_ = ctx.agg_.Identity();
       ++stats_.slices_created;
     }
     has_open_slice_ = true;
@@ -728,18 +728,18 @@ class SlicingAggregator : public WindowAggregator<Agg> {
     open_start_ = at;
   }
 
-  void Fire(size_t query, const Window& w) {
+  void Fire(const Context& ctx, size_t query, const Window& w) {
     const size_t i = store_.LowerBound(w.start);
     const size_t j = store_.LowerBound(w.end);
     Partial result = store_.RangeCombine(i, j);
     if (has_open_slice_ && has_open_data_ && open_start_ < w.end &&
         open_start_ >= w.start) {
-      result = agg_.Combine(result, open_partial_);
-      ++fire_combine_ops_;
+      result = ctx.agg_.Combine(result, open_partial_);
+      ++stats_.combine_ops;
     }
     ++stats_.fires;
-    if (queries_[query].cb) {
-      queries_[query].cb(query, w, agg_.Lower(result));
+    if (ctx.slots_[query].cb) {
+      ctx.slots_[query].cb(query, w, ctx.agg_.Lower(result));
     }
   }
 
@@ -747,32 +747,26 @@ class SlicingAggregator : public WindowAggregator<Agg> {
   /// begin may move backward); periodic queries sit in a lazy min-heap of
   /// lower bounds (OldestNeededBegin is non-decreasing for them, see the
   /// NextWakeup contract), so the scan cost is O(stale), not O(queries).
+  /// Runs on a valid schedule only.
   void Evict() {
     Timestamp needed = kMaxTimestamp;
-    if (!sched_valid_) {
-      for (const QueryState& q : queries_) {
-        if (q.wf) needed = std::min(needed, q.wf->OldestNeededBegin());
+    for (size_t q : always_poll_queries_) {
+      needed = std::min(needed, slots_[q].wf->OldestNeededBegin());
+    }
+    while (!needed_heap_.empty()) {
+      const auto [at, q] = needed_heap_.front();
+      if (slots_[q].wf == nullptr || slots_[q].elem_wakeup == kMinTimestamp) {
+        PopHeap(&needed_heap_);  // detached, or migrated to always-poll
+        continue;
       }
-    } else {
-      for (size_t q : always_poll_queries_) {
-        needed = std::min(needed, queries_[q].wf->OldestNeededBegin());
+      const Timestamp cur = slots_[q].wf->OldestNeededBegin();
+      if (cur > at) {
+        PopHeap(&needed_heap_);
+        if (cur != kMaxTimestamp) PushHeap(&needed_heap_, cur, q);
+        continue;
       }
-      while (!needed_heap_.empty()) {
-        const auto [at, q] = needed_heap_.front();
-        if (queries_[q].wf == nullptr ||
-            q_elem_wakeup_[q] == kMinTimestamp) {
-          PopHeap(&needed_heap_);  // detached, or migrated to always-poll
-          continue;
-        }
-        const Timestamp cur = queries_[q].wf->OldestNeededBegin();
-        if (cur > at) {
-          PopHeap(&needed_heap_);
-          if (cur != kMaxTimestamp) PushHeap(&needed_heap_, cur, q);
-          continue;
-        }
-        needed = std::min(needed, cur);
-        break;  // every other periodic entry is >= at >= cur
-      }
+      needed = std::min(needed, cur);
+      break;  // every other periodic entry is >= at >= cur
     }
     if (needed == kMaxTimestamp) {
       // No pending window: everything stored is garbage.
@@ -787,48 +781,134 @@ class SlicingAggregator : public WindowAggregator<Agg> {
         std::max<uint64_t>(stats_.peak_stored, store_.size());
   }
 
-  Agg agg_;
-  Options options_;
   Store store_;
-  std::vector<QueryState> queries_;
-  size_t active_queries_ = 0;
-  std::vector<std::unique_ptr<WindowFunction>> boundary_gens_;
-
   bool has_open_slice_ = false;
   bool has_open_data_ = false;
+  bool sched_valid_ = false;  // see the scheduling members below
   Timestamp open_start_ = 0;
   Partial open_partial_;
   Timestamp last_ts_ = kMinTimestamp;
+  std::vector<FnState> slots_;  // one per context slot, in slot order
+  std::vector<FnState> gens_;   // one per context boundary generator
 
   // Slicer scheduling (see OnElement/OnWatermark). Heaps hold (wakeup, id)
   // entries; an entry is live iff its value matches the id's armed wakeup
-  // (q_elem_wakeup_/q_wm_wakeup_/g_elem_wakeup_), stale entries are skipped
-  // on pop. kMinTimestamp = member of the matching always-poll list;
-  // kMaxTimestamp = unscheduled (detached slot, or no event before the end
-  // of the stream). A q_wm_wakeup_ value may lag behind the function's
-  // wakeup (ArmWatermark re-arms lazily), never run ahead of it.
-  bool sched_valid_ = false;
+  // (FnState::elem_wakeup/wm_wakeup), stale entries are skipped on pop.
+  // kMinTimestamp = member of the matching always-poll list; kMaxTimestamp
+  // = unscheduled (detached slot, or no event before the end of the
+  // stream). A wm_wakeup may lag behind the function's wakeup
+  // (ArmWatermark re-arms lazily), never run ahead of it.
   Timestamp wakeup_threshold_ = kMinTimestamp;
   std::vector<HeapEntry> elem_heap_;
   std::vector<HeapEntry> wm_heap_;
   std::vector<HeapEntry> needed_heap_;
-  std::vector<Timestamp> q_elem_wakeup_;
-  std::vector<Timestamp> q_wm_wakeup_;
-  std::vector<Timestamp> g_elem_wakeup_;
   std::vector<size_t> always_poll_queries_;  // sorted slot ids
   std::vector<size_t> always_wm_queries_;
   std::vector<size_t> always_poll_gens_;
-  std::vector<size_t> poll_queries_;  // per-call scratch
-  std::vector<size_t> poll_gens_;
-
-  bool last_attach_backfilled_ = false;
-  uint64_t last_attach_backfill_slices_ = 0;
-
-  WindowEvents scratch_;
-  std::vector<TaggedEvent> events_;
+  // combine_ops counts the fires' open-slice combines; stats() adds the
+  // store's.
   AggStats stats_;
-  mutable AggStats cached_stats_;
-  uint64_t fire_combine_ops_ = 0;
+};
+
+/// A standalone Cutty slicer: one context and one key slicer, behind the
+/// WindowAggregator interface (experiments, baselines, tests).
+template <typename Agg, typename Store = FlatFatStore<Agg>>
+class SlicingAggregator : public WindowAggregator<Agg> {
+ public:
+  using Input = typename Agg::Input;
+  using ResultCallback = typename WindowAggregator<Agg>::ResultCallback;
+  using Context = SlicerContext<Agg>;
+  using Options = typename Context::Options;
+
+  explicit SlicingAggregator(Agg agg = Agg(), Options options = Options())
+      : ctx_(std::move(agg), options), key_(ctx_) {}
+
+  size_t AddQuery(std::unique_ptr<WindowFunction> wf,
+                  ResultCallback cb) override {
+    STREAMLINE_CHECK_EQ(key_.stats().elements, 0u)
+        << "use AttachQuery to register queries mid-stream";
+    return AttachQuery(std::move(wf), std::move(cb));
+  }
+
+  /// Registers a query on a (possibly) running aggregator; see
+  /// KeySlicer::Attach. `wf` must be fresh: the slicer runs a clone of it.
+  /// Returns the slot id (stable; reported to result callbacks).
+  size_t AttachQuery(std::unique_ptr<WindowFunction> wf, ResultCallback cb) {
+    const size_t slot = ctx_.AddSlot(std::move(wf), std::move(cb));
+    key_.Attach(&ctx_, slot);
+    return slot;
+  }
+
+  /// Unregisters the query in `slot` and immediately evicts every slice no
+  /// remaining query needs. Slot ids are never reused. Returns the number
+  /// of slices freed by the eviction.
+  size_t DetachQuery(size_t slot) {
+    ctx_.DetachSlot(slot);
+    return key_.Detach(ctx_, slot);
+  }
+
+  /// Adds a window function whose begins cut slices but whose windows
+  /// never fire: the extra cut points of Pairs (window ends) and Panes (gcd
+  /// grid). Before the first element only.
+  void AddBoundaryGenerator(std::unique_ptr<WindowFunction> wf) {
+    ctx_.gens_.push_back(std::move(wf));
+    key_.ResetGenerators(ctx_);
+  }
+
+  void ClearBoundaryGenerators() {
+    ctx_.gens_.clear();
+    key_.ResetGenerators(ctx_);
+  }
+
+  using WindowAggregator<Agg>::OnElement;
+
+  void OnElement(Timestamp ts, const Input& value,
+                 const Value& payload) override {
+    key_.OnElement(&ctx_, ts, value, payload);
+  }
+
+  void OnElements(const Timestamp* ts, const Input* values,
+                  size_t n) override {
+    key_.OnElements(&ctx_, ts, values, n);
+  }
+
+  void OnWatermark(Timestamp wm) override { key_.OnWatermark(&ctx_, wm); }
+
+  /// See KeySlicer::NextDue.
+  Timestamp NextDue() { return key_.NextDue(ctx_); }
+
+  AggStats stats() const override { return key_.stats(); }
+
+  std::string name() const override {
+    return ctx_.options_.slice_per_element ? "slicing(per-tuple)" : "cutty";
+  }
+
+  /// Number of slices currently held in the store.
+  size_t stored_slices() const { return key_.stored_slices(); }
+  /// Total slots ever allocated (attached + detached).
+  size_t num_slots() const { return ctx_.slots_.size(); }
+  /// Currently attached queries.
+  size_t active_queries() const { return ctx_.active_slots_; }
+  /// Whether the most recent AttachQuery backfilled pre-attach windows.
+  bool last_attach_backfilled() const { return ctx_.last_attach_backfilled_; }
+  /// Stored slices the most recent backfilled attach reuses.
+  uint64_t last_attach_backfill_slices() const {
+    return ctx_.last_attach_backfill_slices_;
+  }
+
+  template <typename SerFn>
+  void Snapshot(BinaryWriter* w, const SerFn& ser) const {
+    key_.Snapshot(w, ser);
+  }
+
+  template <typename DeFn>
+  Status Restore(BinaryReader* r, const DeFn& de) {
+    return key_.Restore(r, de);
+  }
+
+ private:
+  Context ctx_;
+  KeySlicer<Agg, Store> key_;
 };
 
 }  // namespace streamline

@@ -68,33 +68,53 @@ Status WindowAggOperator::Open(const OperatorContext& ctx) {
                                            q, true});
     }
     active_slots_ = open_slots_.size();
+  } else {
+    ResetSlots();
   }
   return Status::Ok();
 }
 
+void WindowAggOperator::ResetSlots() {
+  slicer_ = SlicerContext<DynAggAdapter>(adapter_);
+  for (size_t q = 0; q < spec_.windows.size(); ++q) {
+    AddSlicerSlot(spec_.windows[q]->Clone(), q);
+  }
+  open_slots_.clear();
+  for (DynQuery& dq : dyn_queries_) {
+    if (dq.placement == QueryPlacement::kStandalone) {
+      dq.slot = open_slots_.size();
+      open_slots_.push_back(OpenWindowSlot{dq.desc.range, dq.desc.slide,
+                                           dq.desc.origin, dq.attach_wm,
+                                           dq.id, dq.active});
+      continue;
+    }
+    dq.slot = AddSlicerSlot(
+        std::make_unique<SlidingWindowFn>(dq.desc.range, dq.desc.slide,
+                                          dq.desc.origin),
+        dq.id);
+    if (!dq.active) slicer_.DetachSlot(dq.slot);
+  }
+  active_slots_ = static_cast<size_t>(
+      std::count_if(open_slots_.begin(), open_slots_.end(),
+                    [](const OpenWindowSlot& s) { return s.active; }));
+}
+
+size_t WindowAggOperator::AddSlicerSlot(std::unique_ptr<WindowFunction> proto,
+                                        uint64_t query) {
+  // The key is `emit_key_` and the collector `current_out_`, both set by
+  // the call on the stack.
+  return slicer_.AddSlot(
+      std::move(proto), [this, query](size_t, const Window& w, const Value& v) {
+        EmitResult(query, w, v);
+      });
+}
+
 void WindowAggOperator::InitKeyState(KeyState* ks) {
+  // A key created after queries attached runs them from the key's first
+  // element (the key has no earlier history to miss); detached slots stay
+  // empty so the layout matches the table.
   if (spec_.backend == WindowBackend::kShared) {
-    ks->shared = std::make_unique<SharedAgg>(adapter_);
-    for (size_t q = 0; q < spec_.windows.size(); ++q) {
-      // The callback captures only `this`: the key is `emit_key_` and the
-      // collector `current_out_`, both set by the call on the stack.
-      ks->shared->AddQuery(
-          spec_.windows[q]->Clone(),
-          [this](size_t query, const Window& w, const Value& v) {
-            EmitResult(query, w, v);
-          });
-    }
-    // A key created after queries attached runs them from the key's first
-    // element (the key has no earlier history to miss); detached entries
-    // still allocate their slot so the layout matches the table.
-    for (const DynQuery& dq : dyn_queries_) {
-      if (dq.placement != QueryPlacement::kShared) continue;
-      const size_t slot = ks->shared->AddQuery(
-          std::make_unique<SlidingWindowFn>(dq.desc.range, dq.desc.slide,
-                                            dq.desc.origin),
-          DynResultCallback(dq.id));
-      if (!dq.active) ks->shared->DetachQuery(slot);
-    }
+    ks->shared = std::make_unique<SharedSlicer>(slicer_);
   }
   ks->open.resize(open_slots_.size());
 }
@@ -188,7 +208,7 @@ void WindowAggOperator::ApplyElement(KeyState* ks, const Record& record) {
     DynAggAdapter::Input in{record.field(spec_.value_field),
                             record.timestamp};
     const Value payload = spec_.payload ? spec_.payload(record) : Value();
-    ks->shared->OnElement(record.timestamp, in, payload);
+    ks->shared->OnElement(&slicer_, record.timestamp, in, payload);
   }
   if (active_slots_ > 0) FoldOpenWindows(ks, record);
 }
@@ -240,7 +260,7 @@ void WindowAggOperator::FireOpenWindows(KeyState* ks, Timestamp wm) {
 }
 
 void WindowAggOperator::AdvanceKeyWatermark(KeyState* ks, Timestamp wm) {
-  if (ks->shared) ks->shared->OnWatermark(wm);
+  if (ks->shared) ks->shared->OnWatermark(&slicer_, wm);
   FireOpenWindows(ks, wm);
 }
 
@@ -340,7 +360,7 @@ void WindowAggOperator::ApplyCoveredRecords(Timestamp wm) {
         run_in_.push_back(DynAggAdapter::Input{r.field(spec_.value_field),
                                                r.timestamp});
       }
-      ks->shared->OnElements(run_ts_.data(), run_in_.data(), n);
+      ks->shared->OnElements(&slicer_, run_ts_.data(), run_in_.data(), n);
     }
     applied = j;
   }
@@ -407,7 +427,7 @@ void WindowAggOperator::DrainRegistryCommands() {
       if (cmd.kind == QueryCommand::Kind::kAttach) {
         dyn_queries_.push_back(DynQuery{cmd.query_id, cmd.desc,
                                         cmd.placement, true, current_wm_});
-        ApplyDynAttach(dyn_queries_.back(), &slices_freed);
+        ApplyDynAttach(&dyn_queries_.back());
       } else {
         for (size_t i = 0; i < dyn_queries_.size(); ++i) {
           if (dyn_queries_[i].id == cmd.query_id && dyn_queries_[i].active) {
@@ -431,30 +451,18 @@ void WindowAggOperator::DrainRegistryCommands() {
                   stored_slices_, slices_freed);
 }
 
-WindowAggOperator::SharedAgg::ResultCallback
-WindowAggOperator::DynResultCallback(uint64_t id) {
-  return [this, id](size_t, const Window& w, const Value& v) {
-    EmitResult(id, w, v);
-  };
-}
-
-void WindowAggOperator::ApplyDynAttach(const DynQuery& dq,
-                                       uint64_t* slices_freed) {
-  (void)slices_freed;
-  const size_t index = dyn_queries_.size() - 1;
-  if (dq.placement == QueryPlacement::kShared) {
-    const size_t slot = SharedSlotOfDyn(index);
-    for (auto& [key, ks] : keys_) {
-      const size_t got = ks.shared->AttachQuery(
-          std::make_unique<SlidingWindowFn>(dq.desc.range, dq.desc.slide,
-                                            dq.desc.origin),
-          DynResultCallback(dq.id));
-      STREAMLINE_CHECK_EQ(got, slot);
-    }
+void WindowAggOperator::ApplyDynAttach(DynQuery* dq) {
+  if (dq->placement == QueryPlacement::kShared) {
+    dq->slot = AddSlicerSlot(
+        std::make_unique<SlidingWindowFn>(dq->desc.range, dq->desc.slide,
+                                          dq->desc.origin),
+        dq->id);
+    for (auto& [key, ks] : keys_) ks.shared->Attach(&slicer_, dq->slot);
   } else {
-    open_slots_.push_back(OpenWindowSlot{dq.desc.range, dq.desc.slide,
-                                         dq.desc.origin, dq.attach_wm, dq.id,
-                                         true});
+    dq->slot = open_slots_.size();
+    open_slots_.push_back(OpenWindowSlot{dq->desc.range, dq->desc.slide,
+                                         dq->desc.origin, dq->attach_wm,
+                                         dq->id, true});
     for (auto& [key, ks] : keys_) ks.open.emplace_back();
     ++active_slots_;
   }
@@ -462,13 +470,13 @@ void WindowAggOperator::ApplyDynAttach(const DynQuery& dq,
 
 void WindowAggOperator::ApplyDynDetach(size_t index, uint64_t* slices_freed) {
   const DynQuery& dq = dyn_queries_[index];
+  const size_t slot = dq.slot;
   if (dq.placement == QueryPlacement::kShared) {
-    const size_t slot = SharedSlotOfDyn(index);
+    slicer_.DetachSlot(slot);
     for (auto& [key, ks] : keys_) {
-      *slices_freed += ks.shared->DetachQuery(slot);
+      *slices_freed += ks.shared->Detach(slicer_, slot);
     }
   } else {
-    const size_t slot = OpenSlotOfDyn(index);
     open_slots_[slot].active = false;
     for (auto& [key, ks] : keys_) {
       ks.open[slot].clear();
@@ -478,24 +486,8 @@ void WindowAggOperator::ApplyDynDetach(size_t index, uint64_t* slices_freed) {
   }
 }
 
-size_t WindowAggOperator::SharedSlotOfDyn(size_t index) const {
-  size_t slot = spec_.windows.size();
-  for (size_t i = 0; i < index; ++i) {
-    if (dyn_queries_[i].placement == QueryPlacement::kShared) ++slot;
-  }
-  return slot;
-}
-
-size_t WindowAggOperator::OpenSlotOfDyn(size_t index) const {
-  size_t slot = 0;
-  for (size_t i = 0; i < index; ++i) {
-    if (dyn_queries_[i].placement == QueryPlacement::kStandalone) ++slot;
-  }
-  return slot;
-}
-
 Timestamp WindowAggOperator::KeyNextDue(KeyState* ks) {
-  Timestamp due = ks->shared ? ks->shared->NextDue() : kMaxTimestamp;
+  Timestamp due = ks->shared ? ks->shared->NextDue(slicer_) : kMaxTimestamp;
   // Open windows are sorted by (end, start): the front ends first.
   for (const OpenWindows& open : ks->open) {
     if (!open.empty()) due = std::min(due, open.front().first.end);
@@ -655,20 +647,10 @@ Status WindowAggOperator::ReadMeta(BinaryReader* r, bool replay) {
   uint64_t applied_seq = 0;
   STREAMLINE_RETURN_IF_ERROR(ReadDynTable(r, &table, &applied_seq));
   if (replay) STREAMLINE_RETURN_IF_ERROR(ReconcileDynTable(table));
-  // Replace the outgoing table's standalone slots (the eager backend's spec
-  // slots precede them) with the new table's.
-  open_slots_.resize(open_slots_.size() - OpenSlotOfDyn(dyn_queries_.size()));
   dyn_queries_ = std::move(table);
   applied_seq_ = applied_seq;
-  for (const DynQuery& dq : dyn_queries_) {
-    if (dq.placement != QueryPlacement::kStandalone) continue;
-    open_slots_.push_back(OpenWindowSlot{dq.desc.range, dq.desc.slide,
-                                         dq.desc.origin, dq.attach_wm, dq.id,
-                                         dq.active});
-  }
-  active_slots_ = static_cast<size_t>(
-      std::count_if(open_slots_.begin(), open_slots_.end(),
-                    [](const OpenWindowSlot& s) { return s.active; }));
+  // The eager backend has no dyn table; its slots are the spec windows'.
+  if (spec_.backend == WindowBackend::kShared) ResetSlots();
   auto np = r->ReadU64();
   if (!np.ok()) return np.status();
   // Refilled compactly: slot i holds the i-th record read. Slots never
@@ -758,7 +740,7 @@ Status WindowAggOperator::ReconcileDynTable(
   }
   for (size_t i = dyn_queries_.size(); i < table.size(); ++i) {
     dyn_queries_.push_back(table[i]);
-    ApplyDynAttach(dyn_queries_.back(), &ignored_freed);
+    ApplyDynAttach(&dyn_queries_.back());
     // Attached and detached between deltas: the slot must exist (layout)
     // but be detached, or the per-key restore validation rejects it.
     if (!table[i].active) ApplyDynDetach(i, &ignored_freed);
@@ -801,7 +783,7 @@ AggStats WindowAggOperator::SharedStats() const {
   AggStats total;
   for (const auto& [key, ks] : keys_) {
     if (!ks.shared) continue;
-    const AggStats& s = ks.shared->stats();
+    const AggStats s = ks.shared->stats();
     total.elements += s.elements;
     total.partial_updates += s.partial_updates;
     total.combine_ops += s.combine_ops;

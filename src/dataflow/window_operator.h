@@ -149,10 +149,12 @@ struct WindowAggSpec {
 /// them, then applied in timestamp order -- so upstream parallelism (which
 /// interleaves channels arbitrarily) never breaks window contents.
 ///
-/// Window state: the shared backend keeps one Cutty slicer per key, which
-/// serves the spec windows and the shared standing queries from one slice
-/// store. The eager backend's spec windows and the registry's standalone
-/// standing queries keep one partial per open window instead, on one path:
+/// Window state: the shared backend keeps one Cutty key slicer per key,
+/// which serves the spec windows and the shared standing queries from one
+/// slice store; what every key shares (aggregate, slot table with one
+/// result callback per slot, scratch) is one slicer context per subtask.
+/// The eager backend's spec windows and the registry's standalone standing
+/// queries keep one partial per open window instead, on one path:
 /// an operator-level slot table and, per key, one sorted open-window set
 /// per slot. Per key, the slicer fires before the slots.
 ///
@@ -200,7 +202,7 @@ class WindowAggOperator : public Operator {
   size_t reorder_slots() const { return pending_.slots(); }
 
  private:
-  using SharedAgg = SlicingAggregator<DynAggAdapter, FlatFatStore<DynAggAdapter>>;
+  using SharedSlicer = KeySlicer<DynAggAdapter, FlatFatStore<DynAggAdapter>>;
 
   /// One registry-attached query, as applied by this subtask. The table is
   /// a pure function of the command-log prefix [1, applied_seq_] (plus the
@@ -217,6 +219,9 @@ class WindowAggOperator : public Operator {
     /// only serve windows beginning at or after it (earlier windows would
     /// be missing the records applied before the attach).
     Timestamp attach_wm = kMinTimestamp;
+    /// Slicer slot (shared) or open_slots_ index (standalone). Derived from
+    /// the table order when the entry is applied; never serialized.
+    size_t slot = 0;
   };
 
   /// One per-window-partial query: an eager-backend spec window or a
@@ -242,7 +247,7 @@ class WindowAggOperator : public Operator {
 
   struct KeyState {
     // kShared backend only.
-    std::unique_ptr<SharedAgg> shared;
+    std::unique_ptr<SharedSlicer> shared;
     // One entry per open_slots_ entry.
     std::vector<OpenWindows> open;
     /// Windows the slots fired (serialized by the shared layout only).
@@ -277,9 +282,8 @@ class WindowAggOperator : public Operator {
     }
   };
 
-  /// Lays out a new key: the slicer (shared backend) with one query per
-  /// spec window and shared dyn entry, and one open-window set per slot, so
-  /// snapshots line up.
+  /// Lays out a new key: a key slicer from slicer_ (shared backend) and
+  /// one open-window set per slot, so snapshots line up.
   void InitKeyState(KeyState* ks);
   void ApplyElement(KeyState* ks, const Record& record);
   void AdvanceKeyWatermark(KeyState* ks, Timestamp wm);
@@ -304,17 +308,17 @@ class WindowAggOperator : public Operator {
   /// Structural application of one dyn-table entry to live keys. Shared by
   /// the live drain and by checkpoint-delta replay (which reconciles the
   /// key layout before re-restoring the keys the epoch touched).
-  void ApplyDynAttach(const DynQuery& dq, uint64_t* slices_freed);
-  /// Result callback of shared dyn query `id`; like the spec windows'
-  /// callbacks it emits under `emit_key_`, so it holds no key.
-  SharedAgg::ResultCallback DynResultCallback(uint64_t id);
+  void ApplyDynAttach(DynQuery* dq);
   void ApplyDynDetach(size_t index, uint64_t* slices_freed);
-  /// Slicer slot of dyn entry `index` (spec windows first, then one slot
-  /// per shared dyn entry in table order, detached holes included).
-  size_t SharedSlotOfDyn(size_t index) const;
-  /// Open-window slot of standalone dyn entry `index` (the shared backend
-  /// has no spec-window slots, so this counts standalone entries).
-  size_t OpenSlotOfDyn(size_t index) const;
+  /// Rebuilds the shared backend's slot tables from the spec windows and
+  /// the dyn table (Open and restore): slicer_ gets one slot per spec
+  /// window, then one per shared dyn entry, and open_slots_ one per
+  /// standalone entry, in table order, detached holes included.
+  void ResetSlots();
+  /// Adds a slicer slot whose results carry `query` in output field 3 (the
+  /// spec window index or the dyn query id). Its callback emits under
+  /// `emit_key_`, so it holds no key. Returns the slot id.
+  size_t AddSlicerSlot(std::unique_ptr<WindowFunction> proto, uint64_t query);
 
   // -- one watermark, in order ----------------------------------------------
   /// Pops the records `wm` covers off the reorder buffer and applies them,
@@ -356,6 +360,10 @@ class WindowAggOperator : public Operator {
   std::string name_;
   WindowAggSpec spec_;
   DynAggAdapter adapter_;
+  /// What every key slicer shares (shared backend). Its scratch is safe to
+  /// share because a subtask drives one key's slicer at a time, and result
+  /// callbacks never re-enter it: they only emit downstream.
+  SlicerContext<DynAggAdapter> slicer_;
 
   /// Records not yet covered by the watermark. Each record is moved once,
   /// into a slot of a slab (freed slots are reused from a stack), and stays

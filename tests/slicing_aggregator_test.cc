@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "agg/techniques.h"
+#include "common/random.h"
 #include "window/aggregate_fn.h"
 
 namespace streamline {
@@ -357,6 +358,137 @@ TEST(BIntAggregatorTest, PerTupleLeaves) {
   for (double v : out) EXPECT_DOUBLE_EQ(v, 10.0);
   // One slice per tuple (modulo the final open slice).
   EXPECT_GE(agg.stats().slices_created, 29u);
+}
+
+
+// One context, many keys: 64 key slicers share one SlicerContext (slot
+// table, callbacks and per-call scratch) and are driven interleaved, one key
+// at a time, the way WindowAggOperator drives them. Each must emit exactly
+// the results, and snapshot exactly the bytes, of a standalone
+// SlicingAggregator fed the same input, so nothing in the shared scratch
+// carries over from one key to the next. Mid-stream one query attaches and
+// one detaches; the last 16 keys are created only after that, laid out
+// from the slot table with its detached hole.
+TEST(SlicerContextTest, SixtyFourKeysMatchStandaloneAggregators) {
+  using Agg = SumAgg<double>;
+  constexpr size_t kKeys = 64;
+  constexpr size_t kEarlyKeys = 48;
+  constexpr size_t kDetached = 1;  // the session window
+  const auto query = [](size_t q) -> std::unique_ptr<WindowFunction> {
+    switch (q) {
+      case 0:
+        return std::make_unique<CountWindowFn>(5, 2);  // AfterElement path
+      case 1:
+        return std::make_unique<SessionWindowFn>(40);
+      case 2:
+        return std::make_unique<SlidingWindowFn>(60, 20);
+      case 3:
+        return std::make_unique<PunctuationWindowFn>(
+            [](Timestamp, const Value& v) { return v.AsBool(); });
+      default:
+        return std::make_unique<SlidingWindowFn>(100, 20);  // attached late
+    }
+  };
+  const auto ser = [](const double& p, BinaryWriter* w) { w->WriteDouble(p); };
+
+  std::vector<std::vector<Result>> shared_out(kKeys);
+  std::vector<std::vector<Result>> standalone_out(kKeys);
+  size_t current = 0;  // the key being driven: shared callbacks hold no key
+  const auto shared_cb = [&](size_t q, const Window& w, const double& v) {
+    shared_out[current].emplace_back(q, w, v);
+  };
+  const auto standalone_cb = [&](size_t k) {
+    return [&standalone_out, k](size_t q, const Window& w, const double& v) {
+      standalone_out[k].emplace_back(q, w, v);
+    };
+  };
+
+  SlicerContext<Agg> ctx;
+  for (size_t q = 0; q < 4; ++q) ctx.AddSlot(query(q), shared_cb);
+  std::vector<std::unique_ptr<KeySlicer<Agg>>> keys(kKeys);
+  std::vector<std::unique_ptr<SlicingAggregator<Agg>>> standalone(kKeys);
+  const auto add_key = [&](size_t k, size_t num_queries) {
+    keys[k] = std::make_unique<KeySlicer<Agg>>(ctx);
+    standalone[k] = std::make_unique<SlicingAggregator<Agg>>();
+    for (size_t q = 0; q < num_queries; ++q) {
+      standalone[k]->AddQuery(query(q), standalone_cb(k));
+    }
+  };
+  for (size_t k = 0; k < kEarlyKeys; ++k) add_key(k, 4);
+
+  Rng rng(21);
+  std::vector<Timestamp> clock(kKeys, 0);
+  const auto drive = [&](size_t steps, size_t live_keys) {
+    for (size_t i = 0; i < steps; ++i) {
+      const size_t k = rng.NextBelow(live_keys);
+      current = k;
+      if (rng.NextBelow(8) == 0) {
+        // Runs ahead of the key's last element, so sessions and sliding
+        // windows also fire on the watermark path.
+        clock[k] += rng.NextBelow(60);
+        keys[k]->OnWatermark(&ctx, clock[k]);
+        standalone[k]->OnWatermark(clock[k]);
+        continue;
+      }
+      clock[k] += rng.NextBelow(40) == 0 ? 50 : rng.NextBelow(4);
+      const double v = rng.NextDouble(-5, 5);
+      const Value payload(rng.NextBelow(10) == 0);
+      keys[k]->OnElement(&ctx, clock[k], v, payload);
+      standalone[k]->OnElement(clock[k], v, payload);
+    }
+  };
+  const auto expect_same_state = [&](const char* when) {
+    for (size_t k = 0; k < kKeys; ++k) {
+      if (!keys[k]) continue;
+      BinaryWriter a;
+      BinaryWriter b;
+      keys[k]->Snapshot(&a, ser);
+      standalone[k]->Snapshot(&b, ser);
+      EXPECT_EQ(a.Release(), b.Release()) << when << ", key " << k;
+      EXPECT_EQ(keys[k]->stats().ToString(), standalone[k]->stats().ToString())
+          << when << ", key " << k;
+      EXPECT_TRUE(shared_out[k] == standalone_out[k])
+          << when << ", key " << k << ": " << shared_out[k].size() << " vs "
+          << standalone_out[k].size() << " results";
+    }
+  };
+
+  drive(8000, kEarlyKeys);
+  expect_same_state("before attach");
+
+  const size_t slot = ctx.AddSlot(query(4), shared_cb);
+  ASSERT_EQ(slot, 4u);
+  ctx.DetachSlot(kDetached);
+  for (size_t k = 0; k < kEarlyKeys; ++k) {
+    current = k;
+    keys[k]->Attach(&ctx, slot);
+    EXPECT_EQ(standalone[k]->AttachQuery(query(4), standalone_cb(k)), slot);
+    EXPECT_EQ(keys[k]->Detach(ctx, kDetached),
+              standalone[k]->DetachQuery(kDetached))
+        << "key " << k;
+  }
+  for (size_t k = kEarlyKeys; k < kKeys; ++k) {
+    add_key(k, 5);
+    standalone[k]->DetachQuery(kDetached);
+  }
+  expect_same_state("after attach and detach");
+
+  drive(8000, kKeys);
+  for (size_t k = 0; k < kKeys; ++k) {
+    current = k;
+    keys[k]->OnWatermark(&ctx, kMaxTimestamp);
+    standalone[k]->OnWatermark(kMaxTimestamp);
+  }
+  expect_same_state("end of stream");
+
+  // Every window kind fired somewhere, before and after the layout change.
+  std::map<size_t, size_t> fires_per_slot;
+  for (const auto& out : shared_out) {
+    for (const Result& r : out) ++fires_per_slot[std::get<0>(r)];
+  }
+  for (size_t q = 0; q < 5; ++q) {
+    EXPECT_GT(fires_per_slot[q], 0u) << "slot " << q;
+  }
 }
 
 }  // namespace
