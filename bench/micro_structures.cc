@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the core data structures the
 // experiment binaries rely on: slice stores, window functions, value
-// hashing, serde, and the SPSC ring. Useful for spotting regressions
-// below the experiment level.
+// hashing, serde, CRC-32, wire-frame decoding and the SPSC ring. Useful for
+// spotting regressions below the experiment level.
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +22,7 @@
 #include "dataflow/operator.h"
 #include "dataflow/operators.h"
 #include "dataflow/window_operator.h"
+#include "net/frame.h"
 #include "window/aggregate_fn.h"
 #include "window/window_fn.h"
 
@@ -239,6 +240,56 @@ void BM_RecordSerde(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(n));
 }
 BENCHMARK(BM_RecordSerde);
+
+// CRC-32 over a pseudo-random buffer of state.range(0) bytes; 12 KiB is
+// about one 256-event ysb wire frame.
+void BM_Crc32(benchmark::State& state) {
+  const auto len = static_cast<size_t>(state.range(0));
+  std::vector<unsigned char> buf(len);
+  Rng rng(42);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.NextU64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1024)->Arg(12 * 1024)->Arg(1024 * 1024);
+
+// The ingest path of one wire frame: FrameDecoder::Next (length, CRC) and
+// DecodeDataBatch over 256 ysb-shaped records [ad_id, event_type].
+void BM_FrameDecode(benchmark::State& state) {
+  constexpr size_t kRecords = 256;
+  Rng rng(7);
+  std::vector<Record> records;
+  for (size_t i = 0; i < kRecords; ++i) {
+    records.push_back(
+        MakeRecord(static_cast<Timestamp>(1000 * i),
+                   Value(static_cast<int64_t>(rng.NextBelow(1000))),
+                   Value(static_cast<int64_t>(rng.NextBelow(3)))));
+  }
+  const std::string frame = net::EncodeDataBatch(records.data(), kRecords);
+  std::vector<Record> out;
+  out.reserve(kRecords);
+  for (auto _ : state) {
+    net::FrameDecoder decoder;
+    decoder.Append(frame.data(), frame.size());
+    std::string_view payload;
+    auto ready = decoder.Next(&payload);
+    if (!ready.ok() || !*ready) {
+      state.SkipWithError("frame did not decode");
+      break;
+    }
+    out.clear();
+    if (!net::DecodeDataBatch(payload, &out).ok() || out.size() != kRecords) {
+      state.SkipWithError("batch did not decode");
+      break;
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kRecords));
+}
+BENCHMARK(BM_FrameDecode);
 
 // Single-thread ping-pong on the lock-free ring: the floor for one
 // push+pop pair with no contention.

@@ -687,18 +687,33 @@ class KeySlicer {
     SortEvents(ctx);
   }
 
+  // Orders events by time, ends before begins at the same instant, and
+  // otherwise keeps their arrival order. A slice boundary yields a handful
+  // of events, so short lists take an in-place insertion sort:
+  // std::stable_sort would allocate a temporary buffer on every call.
+  // Longer lists (an end-of-stream flush) keep O(n log n).
   static void SortEvents(Context* ctx) {
+    constexpr size_t kInsertionSortMax = 32;
     std::vector<TaggedEvent>& events = ctx->events_;
-    if (events.size() < 2) return;
-    std::stable_sort(events.begin(), events.end(),
-                     [](const TaggedEvent& a, const TaggedEvent& b) {
-                       if (a.event.at != b.event.at) {
-                         return a.event.at < b.event.at;
-                       }
-                       // Ends before begins at the same instant.
-                       return a.event.kind == WindowEvent::Kind::kEnd &&
-                              b.event.kind == WindowEvent::Kind::kBegin;
-                     });
+    const auto before = [](const TaggedEvent& a, const TaggedEvent& b) {
+      if (a.event.at != b.event.at) return a.event.at < b.event.at;
+      return a.event.kind == WindowEvent::Kind::kEnd &&
+             b.event.kind == WindowEvent::Kind::kBegin;
+    };
+    if (events.size() > kInsertionSortMax) {
+      std::stable_sort(events.begin(), events.end(), before);
+      return;
+    }
+    for (size_t i = 1; i < events.size(); ++i) {
+      if (!before(events[i], events[i - 1])) continue;
+      TaggedEvent moving = std::move(events[i]);
+      size_t j = i;
+      do {
+        events[j] = std::move(events[j - 1]);
+        --j;
+      } while (j > 0 && before(moving, events[j - 1]));
+      events[j] = std::move(moving);
+    }
   }
 
   void ProcessEvents(Context* ctx) {

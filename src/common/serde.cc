@@ -1,34 +1,6 @@
 #include "common/serde.h"
 
-#include <array>
-
 namespace streamline {
-
-namespace {
-
-std::array<uint32_t, 256> BuildCrc32Table() {
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-}  // namespace
-
-uint32_t Crc32(const void* data, size_t len) {
-  static const std::array<uint32_t, 256> table = BuildCrc32Table();
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 void BinaryWriter::WriteValue(const Value& v) {
   WriteU8(static_cast<uint8_t>(v.type()));

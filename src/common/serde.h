@@ -7,18 +7,12 @@
 #include <string_view>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/record.h"
 #include "common/status.h"
 #include "common/value.h"
 
 namespace streamline {
-
-/// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) over a byte range.
-/// Used by the durable snapshot store to detect on-disk corruption.
-uint32_t Crc32(const void* data, size_t len);
-inline uint32_t Crc32(std::string_view bytes) {
-  return Crc32(bytes.data(), bytes.size());
-}
 
 /// Append-only little-endian binary writer. Used for state snapshots
 /// (checkpointing) and for channel byte accounting.
