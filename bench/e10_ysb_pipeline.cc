@@ -108,6 +108,8 @@ void Run() {
     report.Add("ysb_p2_events_per_sec", static_cast<double>(kEvents) / secs);
   }
   {
+    // Batch size 1 ships one-record batches: every channel push and every
+    // chain hop pays for a single record.
     std::printf("Ablation: channel batch size (network buffers)\n\n");
     Table table({"batch size", "throughput", "vs batch=256"});
     double base = 0;

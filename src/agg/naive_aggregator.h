@@ -26,12 +26,7 @@ class NaiveBufferAggregator : public WindowAggregator<Agg> {
   using Output = typename Agg::Output;
   using ResultCallback = typename WindowAggregator<Agg>::ResultCallback;
 
-  struct Options {
-    uint64_t eviction_period = 128;
-  };
-
-  explicit NaiveBufferAggregator(Agg agg = Agg(), Options options = Options())
-      : agg_(std::move(agg)), options_(options) {}
+  explicit NaiveBufferAggregator(Agg agg = Agg()) : agg_(std::move(agg)) {}
 
   size_t AddQuery(std::unique_ptr<WindowFunction> wf,
                   ResultCallback cb) override {
@@ -59,7 +54,7 @@ class NaiveBufferAggregator : public WindowAggregator<Agg> {
       queries_[q].wf->AfterElement(ts, payload, &scratch_);
       HandleEvents(q);
     }
-    if (stats_.elements % options_.eviction_period == 0) Evict();
+    if (stats_.elements % kEvictionPeriod == 0) Evict();
     stats_.peak_stored =
         std::max<uint64_t>(stats_.peak_stored, buffer_.size());
   }
@@ -114,8 +109,10 @@ class NaiveBufferAggregator : public WindowAggregator<Agg> {
     }
   }
 
+  // Eviction runs every this many elements (and on every watermark).
+  static constexpr uint64_t kEvictionPeriod = 128;
+
   Agg agg_;
-  Options options_;
   std::vector<QueryState> queries_;
   std::deque<std::pair<Timestamp, Input>> buffer_;
   WindowEvents scratch_;

@@ -65,12 +65,13 @@ class SlicerContext {
  public:
   using ResultCallback = typename WindowAggregator<Agg>::ResultCallback;
 
+  /// Key slicers run eviction every this many elements.
+  static constexpr uint64_t kEvictionPeriod = 128;
+
   struct Options {
     /// Close a slice before every element (one leaf per tuple). Used to
     /// emulate per-tuple aggregate trees (B-Int) for comparison.
     bool slice_per_element = false;
-    /// Run eviction every this many elements.
-    uint64_t eviction_period = 128;
     /// Ablation: poll every window function on every element instead of
     /// skipping periodic functions between their published boundaries.
     bool disable_wakeup_fastpath = false;
@@ -254,7 +255,7 @@ class KeySlicer {
       ProcessEvents(ctx);
     }
 
-    if (stats_.elements % ctx->options_.eviction_period == 0) Evict();
+    if (stats_.elements % Context::kEvictionPeriod == 0) Evict();
     UpdatePeak();
   }
 
@@ -268,7 +269,7 @@ class KeySlicer {
   void OnElements(Context* ctx, const Timestamp* ts, const Input* values,
                   size_t n) {
     if (!sched_valid_) RebuildSchedule(*ctx);
-    const uint64_t period = ctx->options_.eviction_period;
+    constexpr uint64_t period = Context::kEvictionPeriod;
     size_t i = 0;
     while (i < n) {
       const bool fast =

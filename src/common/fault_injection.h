@@ -72,12 +72,12 @@ class FaultInjector {
   /// when a kThrow rule fires. It is OnSpan(site, 1) with the fault raised.
   Status OnHit(std::string_view site);
 
-  /// Outcome of probing a span of `count` record hits at once (the batch
-  /// path's equivalent of `count` OnHit calls). `passed` records precede
-  /// the fault; when `fired`, the caller must process exactly that prefix
-  /// and then apply the fault itself -- fail with `status` for kStatus
-  /// rules, throw std::runtime_error(`message`) for kThrow rules -- so
-  /// batch delivery reproduces the per-record path's semantics exactly.
+  /// Outcome of probing a span of `count` record hits at once (the
+  /// equivalent of `count` OnHit calls). `passed` records precede the
+  /// fault; when `fired`, the caller must process exactly that prefix and
+  /// then apply the fault itself -- fail with `status` for kStatus rules,
+  /// throw std::runtime_error(`message`) for kThrow rules -- so batch
+  /// delivery reproduces record-at-a-time delivery exactly.
   struct SpanFault {
     size_t passed = 0;
     bool fired = false;
@@ -91,7 +91,7 @@ class FaultInjector {
   /// probability draws) to `count` OnHit calls. Unlike OnHit it never
   /// throws: a kThrow fault is returned for the caller to raise after the
   /// passed prefix was processed. Hits after a fired fault are not
-  /// counted, matching the per-record path where delivery stops at the
+  /// counted, matching record-at-a-time delivery, which stops at the
   /// fault.
   SpanFault OnSpan(std::string_view site, size_t count);
 

@@ -26,6 +26,10 @@ constexpr int kIdleSpinBudget = 64;
 // wakeups.
 constexpr auto kParkBackstop = std::chrono::milliseconds(1);
 
+// Worker threads are named "sl-work<index>", the timer thread "sl-workT"
+// (pthread_setname_np, 15-char limit).
+constexpr char kThreadNamePrefix[] = "sl-work";
+
 void SetCurrentThreadName(const std::string& name) {
 #if defined(__linux__)
   // pthread_setname_np silently fails past 15 chars + NUL; truncate.
@@ -37,8 +41,7 @@ void SetCurrentThreadName(const std::string& name) {
 
 }  // namespace
 
-WorkStealingPool::WorkStealingPool(Options options)
-    : name_prefix_(options.thread_name_prefix) {
+WorkStealingPool::WorkStealingPool(Options options) {
   size_t n = options.num_workers;
   if (n == 0) n = std::max(1u, std::thread::hardware_concurrency());
   workers_.reserve(n);
@@ -286,7 +289,7 @@ bool WorkStealingPool::TryRunOneTask() {
 }
 
 void WorkStealingPool::WorkerMain(size_t index) {
-  SetCurrentThreadName(name_prefix_ + std::to_string(index));
+  SetCurrentThreadName(kThreadNamePrefix + std::to_string(index));
   tls_pool = this;
   tls_worker_index = index;
   int idle_spins = 0;
@@ -355,7 +358,7 @@ void WorkStealingPool::EnsureTimerThreadLocked() {
 }
 
 void WorkStealingPool::TimerMain() {
-  SetCurrentThreadName(name_prefix_ + "T");
+  SetCurrentThreadName(std::string(kThreadNamePrefix) + "T");
   timer_mu_.Lock();
   while (!shutdown_.load(std::memory_order_acquire)) {
     if (timers_.empty()) {
@@ -467,69 +470,6 @@ size_t WorkStealingPool::ApproxReadyDepth() const {
     depth += w->approx_size.load(std::memory_order_relaxed);
   }
   return depth;
-}
-
-ThreadPool::ThreadPool(size_t num_threads)
-    : pool_([num_threads] {
-        STREAMLINE_CHECK_GT(num_threads, 0u);
-        WorkStealingPool::Options o;
-        o.num_workers = num_threads;
-        o.thread_name_prefix = "sl-pool";
-        return o;
-      }()) {
-  drainers_.reserve(pool_.num_workers());
-  for (size_t i = 0; i < pool_.num_workers(); ++i) {
-    drainers_.emplace_back(std::make_unique<Drainer>(this));
-  }
-}
-
-ThreadPool::~ThreadPool() { Shutdown(); }
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    MutexLock lock(&mu_);
-    STREAMLINE_CHECK(!shutdown_) << "Submit after Shutdown";
-    tasks_.push_back(std::move(task));
-    ++outstanding_;
-  }
-  // Every drainer gets notified so queued closures spread across workers;
-  // surplus drainers find an empty queue and go idle immediately.
-  for (auto& d : drainers_) pool_.Notify(d.get());
-}
-
-bool ThreadPool::DrainOne() {
-  std::function<void()> task;
-  {
-    MutexLock lock(&mu_);
-    if (tasks_.empty()) return false;
-    task = std::move(tasks_.front());
-    tasks_.pop_front();
-  }
-  task();
-  bool more;
-  {
-    MutexLock lock(&mu_);
-    --outstanding_;
-    more = !tasks_.empty();
-    if (outstanding_ == 0) idle_.NotifyAll();
-  }
-  return more;
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(&mu_);
-  while (outstanding_ != 0) idle_.Wait(&mu_);
-}
-
-void ThreadPool::Shutdown() {
-  {
-    MutexLock lock(&mu_);
-    if (shutdown_) return;
-    shutdown_ = true;
-  }
-  // Historical contract: Shutdown completes already-submitted work.
-  Wait();
-  pool_.Shutdown();
 }
 
 }  // namespace streamline

@@ -84,9 +84,6 @@ class WorkStealingPool {
   struct Options {
     /// Worker count; 0 means std::thread::hardware_concurrency().
     size_t num_workers = 0;
-    /// Worker thread names become "<prefix><index>" (pthread_setname_np,
-    /// 15-char limit); keep the prefix short.
-    std::string thread_name_prefix = "sl-work";
   };
 
   explicit WorkStealingPool(Options options);
@@ -170,7 +167,6 @@ class WorkStealingPool {
   void RunClaimed(Schedulable* task);
   void EnsureTimerThreadLocked() STREAMLINE_REQUIRES(timer_mu_);
 
-  const std::string name_prefix_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> shutdown_{false};
 
@@ -195,54 +191,6 @@ class WorkStealingPool {
   std::thread timer_thread_;
 
   SchedulerCounters counters_;
-};
-
-/// Closure-queue adapter over WorkStealingPool -- the historical ThreadPool
-/// API (auxiliary work: asynchronous snapshot serialization, generator
-/// shaping). One drainer Schedulable per worker pulls closures off a shared
-/// queue, so submitted tasks run with full pool parallelism while the
-/// engine keeps a single pool abstraction.
-class ThreadPool {
- public:
-  explicit ThreadPool(size_t num_threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues `task` for execution on some worker. Must not be called after
-  /// Shutdown.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until all queued and running tasks have finished.
-  void Wait();
-
-  /// Completes outstanding work and joins all workers. Idempotent; also run
-  /// by the destructor.
-  void Shutdown();
-
-  size_t num_threads() const { return pool_.num_workers(); }
-
- private:
-  class Drainer : public Schedulable {
-   public:
-    explicit Drainer(ThreadPool* owner) : owner_(owner) {}
-    bool Step() override { return owner_->DrainOne(); }
-
-   private:
-    ThreadPool* owner_;
-  };
-
-  /// Runs one queued closure; returns true when more remain.
-  bool DrainOne();
-
-  WorkStealingPool pool_;
-  std::vector<std::unique_ptr<Drainer>> drainers_;
-  Mutex mu_;
-  CondVar idle_;
-  std::deque<std::function<void()>> tasks_ STREAMLINE_GUARDED_BY(mu_);
-  size_t outstanding_ STREAMLINE_GUARDED_BY(mu_) = 0;
-  bool shutdown_ STREAMLINE_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace streamline

@@ -145,13 +145,11 @@ class Task : public Schedulable {
           this, i + 1 < ops.size() ? ops[i + 1].get() : nullptr,
           (is_source ? 1 : 0) + i + 1, downstream);
     }
-    // Batch-at-a-time execution: whole channel events flow through
-    // ProcessBatch chains. Disabled only at batch_size 1, which IS the
-    // per-record path. Fault injection works on both paths: batch hops
-    // probe a whole span of record hits at once (FaultInjector::OnSpan)
-    // with accounting identical to the per-record probes.
-    batch_path_ = batch_size > 1;
-    if (batch_path_ && is_source) source_batch_.reserve(batch_size);
+    // Batch-at-a-time execution at every batch size (1 ships one-record
+    // batches): whole channel events flow through ProcessBatch chains.
+    // Fault sites probe a whole span of record hits at once
+    // (FaultInjector::OnSpan) with per-record hit accounting.
+    if (is_source) source_batch_.reserve(batch_size);
     OperatorContext ctx;
     ctx.subtask_index = subtask_;
     ctx.parallelism = parallelism_;
@@ -343,35 +341,21 @@ class Task : public Schedulable {
           downstream_(downstream) {}
     void Emit(Record&& record) override {
       if (next_ != nullptr) {
-        if (!task_->InjectFault(next_element_)) return;
+        // One record is a span of one: nothing precedes a fault in it.
+        if (!task_->PassSpanFaults(next_element_, 1, [](size_t) {})) return;
         next_->ProcessRecord(0, std::move(record), downstream_);
       } else {
         downstream_->Emit(std::move(record));
       }
     }
     /// Batch hop: the whole batch moves to the next chain element in one
-    /// virtual call. Fault sites fire here too: one span probe covers the
-    /// batch with per-record hit accounting, the prefix before a fired
-    /// fault is processed, and the rest is dropped -- the per-record
-    /// path's semantics at batch granularity.
+    /// virtual call, behind that element's fault site (see FeedBatch).
     void EmitBatch(std::vector<Record>&& batch) override {
       if (next_ == nullptr) {
         downstream_->EmitBatch(std::move(batch));
         return;
       }
-      if (task_->injector != nullptr) {
-        FaultInjector::SpanFault fault =
-            task_->injector->OnSpan(task_->sites[next_element_], batch.size());
-        if (fault.fired) {
-          batch.resize(fault.passed);
-          if (!batch.empty()) {
-            next_->ProcessBatch(0, std::move(batch), downstream_);
-          }
-          task_->RaiseSpanFault(std::move(fault));
-          return;
-        }
-      }
-      next_->ProcessBatch(0, std::move(batch), downstream_);
+      task_->FeedBatch(next_element_, next_, 0, std::move(batch), downstream_);
     }
 
    private:
@@ -389,92 +373,30 @@ class Task : public Schedulable {
       // position before this record, and the barrier is broadcast before
       // the record travels downstream. (The barrier handler flushes the
       // pending source batch first, so batching never reorders a record
-      // across a barrier.)
-      task_->MaybeHandleSourceBarrier();
-      if (!task_->task_status_.ok() ||
-          task_->job_->cancelled_.load(std::memory_order_relaxed)) {
-        return false;
-      }
-      if (!task_->InjectFault(0)) {
-        // Prefix parity with the per-record path, which had already
-        // delivered the staged records: flush them before the task fails.
-        task_->FlushSourceBatch();
-        return false;
-      }
+      // across a barrier.) A fault here still delivers the staged records,
+      // which precede it.
+      if (!task_->OpenSourceSpan(&record, 1)) return false;
       task_->BufferSourceRecord(std::move(record));
       // A chained operator or sink may have failed while processing this
       // record (recorded via Fail); stop emitting then.
       return task_->task_status_.ok();
     }
     bool EmitSpan(Record* records, size_t n) override {
-      if (!task_->batch_path_) {
-        // Per-record path (bs=1): keep the exact per-emission semantics,
-        // including per-record fault sites.
-        for (size_t i = 0; i < n; ++i) {
-          if (!Emit(std::move(records[i]))) return false;
-        }
-        return true;
-      }
-      // Batch path: barrier and cancellation checks once per span. The
-      // barrier handler flushes the pending source batch before
-      // broadcasting, and the snapshot sees the source position before
-      // this span, so restore replays exactly the unemitted suffix.
-      task_->MaybeHandleSourceBarrier();
-      if (!task_->task_status_.ok() ||
-          task_->job_->cancelled_.load(std::memory_order_relaxed)) {
-        return false;
-      }
-      if (task_->injector != nullptr) {
-        FaultInjector::SpanFault fault =
-            task_->injector->OnSpan(task_->sites[0], n);
-        if (fault.fired) {
-          // Per-record parity: records before the fault still travel the
-          // full chain (the per-record path had already delivered them).
-          task_->BufferSourceSpan(records, fault.passed);
-          task_->FlushSourceBatch();
-          task_->RaiseSpanFault(std::move(fault));  // kThrow leaves here
-          return false;
-        }
-      }
+      if (!task_->OpenSourceSpan(records, n)) return false;
       task_->BufferSourceSpan(records, n);
       return task_->task_status_.ok();
     }
     bool EmitBatch(std::vector<Record>&& batch) override {
-      if (!task_->batch_path_) {
-        // Per-record path: preserve exact per-emission semantics.
-        for (Record& r : batch) {
-          if (!Emit(std::move(r))) {
-            batch.clear();
-            return false;
-          }
-        }
-        batch.clear();
-        return true;
-      }
-      task_->MaybeHandleSourceBarrier();
-      if (!task_->task_status_.ok() ||
-          task_->job_->cancelled_.load(std::memory_order_relaxed)) {
-        batch.clear();
-        return false;
-      }
-      if (task_->injector != nullptr) {
-        FaultInjector::SpanFault fault =
-            task_->injector->OnSpan(task_->sites[0], batch.size());
-        if (fault.fired) {
-          // Same prefix parity as EmitSpan.
-          task_->BufferSourceSpan(batch.data(), fault.passed);
-          batch.clear();
-          task_->FlushSourceBatch();
-          task_->RaiseSpanFault(std::move(fault));
-          return false;
-        }
-      }
       if (batch.size() > task_->batch_size) {
         // Oversized batch: re-chunk through the staging buffer so the
         // configured batch granularity holds downstream.
-        task_->BufferSourceSpan(batch.data(), batch.size());
+        const bool ok = EmitSpan(batch.data(), batch.size());
         batch.clear();
-        return task_->task_status_.ok();
+        return ok;
+      }
+      if (!task_->OpenSourceSpan(batch.data(), batch.size())) {
+        batch.clear();
+        return false;
       }
       // Any records staged via Emit() must go first to preserve order.
       task_->FlushSourceBatch();
@@ -485,9 +407,7 @@ class Task : public Schedulable {
       task_->DeliverBatch(0, std::move(batch));
       return task_->task_status_.ok();
     }
-    size_t PreferredBatchSize() const override {
-      return task_->batch_path_ ? task_->batch_size : 1;
-    }
+    size_t PreferredBatchSize() const override { return task_->batch_size; }
     void EmitWatermark(Timestamp wm) override {
       task_->DeliverWatermark(wm);
     }
@@ -646,21 +566,11 @@ class Task : public Schedulable {
     switch (event.kind) {
       case StreamEvent::Kind::kBatch:
         records_in_->Increment(event.batch.size());
-        if (batch_path_) {
-          // Batch-at-a-time: the whole event flows through the operator
-          // chain in one ProcessBatch call per hop. Most batch overrides
-          // transform in place, so `event.batch` usually keeps its
-          // identity (and capacity) all the way through and gets recycled
-          // below.
-          DeliverBatch(channel_ordinal[c], std::move(event.batch));
-        } else {
-          // lint:allow(virtual-per-record-loop): batch_size 1 is the
-          // per-record path, the batch path's equivalence reference
-          for (Record& r : event.batch) {
-            if (!task_status_.ok()) break;  // crash-like: drop the rest
-            DeliverRecord(channel_ordinal[c], std::move(r));
-          }
-        }
+        // The whole event flows through the operator chain in one
+        // ProcessBatch call per hop. Most batch overrides transform in
+        // place, so `event.batch` usually keeps its identity (and
+        // capacity) all the way through and gets recycled below.
+        DeliverBatch(channel_ordinal[c], std::move(event.batch));
         // Hand the drained buffer back to the producer for reuse; if the
         // recycle ring is full the vector just frees here.
         event.batch.clear();
@@ -686,40 +596,73 @@ class Task : public Schedulable {
     }
   }
 
-  void DeliverRecord(int ordinal, Record&& record) {
-    if (ops.empty()) {
-      RouteRecord(std::move(record));
-      return;
-    }
-    // ops[0] is chain element 0 of an operator task, element 1 behind a
-    // source (element 0 is the source itself, injected in Emit).
-    if (!InjectFault(is_source ? 1 : 0)) return;
-    ops[0]->ProcessRecord(ordinal, std::move(record), collectors_[0].get());
-  }
-
-  /// Batch-path twin of DeliverRecord: hands the whole batch to the chain
-  /// head in one call. The head element's fault site fires via a span
-  /// probe with per-record hit accounting (see ChainCollector::EmitBatch).
+  /// Hands a whole batch to the chain head in one call.
   void DeliverBatch(int ordinal, std::vector<Record>&& batch) {
     if (batch.empty()) return;
     if (ops.empty()) {
       RouteBatch(std::move(batch));
       return;
     }
-    if (injector != nullptr) {
-      FaultInjector::SpanFault fault =
-          injector->OnSpan(sites[is_source ? 1 : 0], batch.size());
-      if (fault.fired) {
-        batch.resize(fault.passed);
-        if (!batch.empty()) {
-          ops[0]->ProcessBatch(ordinal, std::move(batch),
-                               collectors_[0].get());
-        }
-        RaiseSpanFault(std::move(fault));
-        return;
-      }
+    // ops[0] is chain element 0 of an operator task, element 1 behind a
+    // source (element 0 is the source itself, probed in its Emit calls).
+    FeedBatch(is_source ? 1 : 0, ops[0].get(), ordinal, std::move(batch),
+              collectors_[0].get());
+  }
+
+  /// Feeds `batch` to `op`, chain element `element`, behind that element's
+  /// fault site: the prefix before a fired fault is processed and the rest
+  /// is dropped -- record-at-a-time semantics at batch granularity.
+  void FeedBatch(size_t element, Operator* op, int ordinal,
+                 std::vector<Record>&& batch, Collector* out) {
+    const bool clean =
+        PassSpanFaults(element, batch.size(), [&](size_t passed) {
+          batch.resize(passed);
+          if (!batch.empty()) op->ProcessBatch(ordinal, std::move(batch), out);
+        });
+    if (clean) op->ProcessBatch(ordinal, std::move(batch), out);
+  }
+
+  /// Source-side gate of a span about to be emitted: barrier and
+  /// cancellation checks once per span, then the source's fault site. The
+  /// barrier handler flushes the pending source batch before broadcasting,
+  /// and the snapshot sees the source position before this span, so
+  /// restore replays exactly the unemitted suffix. Returns whether the
+  /// whole span may be emitted.
+  bool OpenSourceSpan(Record* records, size_t n) {
+    MaybeHandleSourceBarrier();
+    if (!task_status_.ok() ||
+        job_->cancelled_.load(std::memory_order_relaxed)) {
+      return false;
     }
-    ops[0]->ProcessBatch(ordinal, std::move(batch), collectors_[0].get());
+    return PassSpanFaults(0, n, [&](size_t passed) {
+      // Records before the fault still travel the full chain, and so do
+      // the ones staged before this span.
+      BufferSourceSpan(records, passed);
+      FlushSourceBatch();
+    });
+  }
+
+  /// Span fault parity, shared by every batch hop: one probe of chain
+  /// element `element`'s fault site covers the next `n` record hits with
+  /// per-record hit accounting. Returns true when no fault fired. When one
+  /// fires at record `passed`, `deliver_prefix(passed)` hands on the
+  /// records before it (one at a time they would have reached the element
+  /// first), and the fault is raised after them, exactly where a
+  /// per-record probe would have raised it: kThrow leaves by exception
+  /// (like FaultInjector::OnHit), kStatus fails the task and returns
+  /// false.
+  template <typename DeliverPrefix>
+  bool PassSpanFaults(size_t element, size_t n,
+                      DeliverPrefix&& deliver_prefix) {
+    if (injector == nullptr) return true;
+    FaultInjector::SpanFault fault = injector->OnSpan(sites[element], n);
+    if (!fault.fired) return true;
+    deliver_prefix(fault.passed);
+    if (fault.kind == FaultInjector::FaultKind::kThrow) {
+      throw std::runtime_error(fault.message);
+    }
+    Fail(std::move(fault.status));
+    return false;
   }
 
   /// Source-side batching: records a source Emit()s accumulate here and
@@ -727,18 +670,14 @@ class Task : public Schedulable {
   /// every control event (watermark, barrier, idle, end of input) so
   /// batching never reorders records against control flow.
   void BufferSourceRecord(Record&& record) {
-    if (!batch_path_) {
-      DeliverRecord(0, std::move(record));
-      return;
-    }
     source_batch_.push_back(std::move(record));
     if (source_batch_.size() >= batch_size) FlushSourceBatch();
   }
 
   /// Span twin of BufferSourceRecord: appends a contiguous run of records
-  /// to the pending source batch, flushing at batch-size boundaries. Only
-  /// reached with batch_path_ set. The inner loop is just a move per
-  /// record -- no per-record virtual dispatch or status checks.
+  /// to the pending source batch, flushing at batch-size boundaries. The
+  /// inner loop is just a move per record -- no per-record virtual
+  /// dispatch or status checks.
   void BufferSourceSpan(Record* records, size_t n) {
     size_t i = 0;
     while (i < n) {
@@ -919,29 +858,6 @@ class Task : public Schedulable {
   /// fault often fails too, with less interesting errors). Task-serialized.
   void Fail(Status st) {
     if (task_status_.ok() && !st.ok()) task_status_ = std::move(st);
-  }
-
-  /// Fires any matching injected fault for chain element `element`.
-  /// Returns false when a Status fault fired (the task is now failing);
-  /// kThrow faults leave by exception.
-  bool InjectFault(size_t element) {
-    if (injector == nullptr) return true;
-    Status st = injector->OnHit(sites[element]);
-    if (!st.ok()) {
-      Fail(std::move(st));
-      return false;
-    }
-    return true;
-  }
-
-  /// Applies a span fault after its passed prefix was processed, exactly
-  /// where the per-record path would have: kThrow leaves by exception
-  /// (like OnHit), kStatus fails the task (like InjectFault).
-  void RaiseSpanFault(FaultInjector::SpanFault&& fault) {
-    if (fault.kind == FaultInjector::FaultKind::kThrow) {
-      throw std::runtime_error(fault.message);
-    }
-    Fail(std::move(fault.status));
   }
 
   /// Crash-like teardown after a failure, first half: drop buffered
@@ -1279,9 +1195,8 @@ class Task : public Schedulable {
   // morsel whose flush succeeds marks the task done.
   bool finishing_ = false;
 
-  // Batch-at-a-time execution (see Init). source_batch_ accumulates source
+  // Source-side batching (see BufferSourceRecord): accumulates source
   // emits; its capacity survives every flush (task-serialized).
-  bool batch_path_ = false;
   std::vector<Record> source_batch_;
 
   // Batched metric state (task-serialized; see RouteRecord).

@@ -47,8 +47,7 @@ class SourceContext {
   /// empty (usually with its capacity preserved -- the engine threads the
   /// same vector through the chain), so a source can stage into one
   /// scratch buffer and reuse it every batch. Stage at most
-  /// PreferredBatchSize() records per call; with a preferred size of 1
-  /// use plain Emit() instead.
+  /// PreferredBatchSize() records per call.
   virtual bool EmitBatch(std::vector<Record>&& batch) {
     for (Record& r : batch) {
       if (!Emit(std::move(r))) {
@@ -61,8 +60,8 @@ class SourceContext {
   }
 
   /// How many records the engine would like per EmitBatch call: the job's
-  /// configured batch size on the batch path, 1 when the engine runs
-  /// record-at-a-time (then EmitBatch gains nothing over Emit).
+  /// configured batch size (at 1 the engine ships one-record batches).
+  /// Contexts that do not batch keep the default of 1.
   virtual size_t PreferredBatchSize() const { return 1; }
 
   /// Emits an event-time watermark: a promise that all records emitted

@@ -1,7 +1,16 @@
-// Batch-at-a-time execution must be invisible: for every built-in operator
-// and pipeline shape, running the same input with batch_size = 1 (the
-// per-record path) and with larger batch sizes (the ProcessBatch path) must
-// produce identical sink output -- same records, same order, same
+// Batch-at-a-time execution must be invisible, checked at two levels.
+//
+// The operator contract: every Operator::ProcessBatch override must do
+// exactly what ProcessRecord does for each record of the batch in order.
+// BatchContractTest drives two instances of each overriding operator with
+// the same records, watermarks and end of input -- one record at a time
+// through ProcessRecord, the other through ProcessBatch over seeded random
+// batch splits -- and requires the same emitted records and the same
+// snapshot bytes.
+//
+// The engine: for every built-in operator and pipeline shape, running the
+// same input at batch_size 1 (one-record batches) and at larger batch sizes
+// must produce identical sink output -- same records, same order, same
 // timestamps, same stamped key hashes -- with watermarks and barriers never
 // reordered relative to the records batched around them. Also holds the
 // regression test for the FieldVec self-range insert fix.
@@ -15,9 +24,12 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "api/datastream.h"
+#include "dataflow/window_operator.h"
 
 namespace streamline {
 namespace {
@@ -113,20 +125,26 @@ std::vector<Record> RunWithBatchSize(const PipelineFn& build,
 }
 
 // Asserts byte-level equivalence of the visible record contents: timestamp,
-// fields, and the stamped key hash (routing metadata the batch path must
-// reproduce exactly).
+// fields, and the stamped key hash (routing metadata every batch size must
+// reproduce exactly). `run` names the compared run in failure messages.
 void ExpectIdenticalOutput(const std::vector<Record>& want,
-                           const std::vector<Record>& got, size_t batch_size) {
-  ASSERT_EQ(want.size(), got.size()) << "batch_size=" << batch_size;
+                           const std::vector<Record>& got,
+                           const std::string& run) {
+  ASSERT_EQ(want.size(), got.size()) << run;
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(want[i].timestamp, got[i].timestamp)
-        << "record " << i << " batch_size=" << batch_size;
+        << "record " << i << " " << run;
     EXPECT_EQ(want[i].key_hash, got[i].key_hash)
-        << "record " << i << " batch_size=" << batch_size;
+        << "record " << i << " " << run;
     ASSERT_TRUE(want[i].fields == got[i].fields)
-        << "record " << i << " batch_size=" << batch_size << "\n  want "
+        << "record " << i << " " << run << "\n  want "
         << want[i].ToString() << "\n  got  " << got[i].ToString();
   }
+}
+
+void ExpectIdenticalOutput(const std::vector<Record>& want,
+                           const std::vector<Record>& got, size_t batch_size) {
+  ExpectIdenticalOutput(want, got, "batch_size=" + std::to_string(batch_size));
 }
 
 void ExpectBatchInvariant(const PipelineFn& build) {
@@ -292,12 +310,12 @@ TEST(BatchEquivalenceTest, GeneratorSourceInMotion) {
 }
 
 // ---------------------------------------------------------------------------
-// Control-event ordering on the batch path.
+// Control-event ordering around batches.
 
 // Counts records and asserts every watermark's promise ("all records with
-// ts < wm have been delivered") against the count -- with the batch path
-// buffering records in the source task, a watermark overtaking its batch
-// would trip this immediately.
+// ts < wm have been delivered") against the count -- with the source task
+// buffering records into batches, a watermark overtaking its batch would
+// trip this immediately.
 class BatchWatermarkProbe : public Operator {
  public:
   explicit BatchWatermarkProbe(std::atomic<int>* violations)
@@ -353,7 +371,7 @@ TEST(BatchControlOrderingTest, BarriersFlushBatchesAndStayAligned) {
   // Checkpoints run concurrently with batched delivery; barrier offsets
   // recorded by the sink must be consistent cut points (monotone in
   // checkpoint id, within the output), and the output itself must match
-  // the per-record run exactly.
+  // the uncheckpointed run of one-record batches exactly.
   constexpr uint64_t kRecords = 60'000;
   const PipelineFn build = [](Environment& env) {
     return env
@@ -392,6 +410,272 @@ TEST(BatchControlOrderingTest, BarriersFlushBatchesAndStayAligned) {
     EXPECT_GE(off, prev_offset) << "checkpoint " << id;
     EXPECT_LE(off, static_cast<int64_t>(baseline.size()));
     prev_offset = off;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Operator batch contract: ProcessBatch == ProcessRecord per record.
+
+// What one operator instance under test emits: its collector output, or the
+// records its CollectSink received (SinkOperator emits nothing).
+struct ContractSubject {
+  std::unique_ptr<Operator> op;
+  std::shared_ptr<CollectSink> sink;
+};
+using SubjectFn = std::function<ContractSubject()>;
+
+// One drive of an operator: records with their input ordinals, watermarks
+// between them, then the final watermark and end of input.
+struct ContractInput {
+  std::vector<Record> records;
+  std::vector<int> inputs;  // input ordinal of each record
+  // (p, wm): ProcessWatermark(wm) after the first p records; p ascending.
+  std::vector<std::pair<size_t, Timestamp>> watermarks;
+};
+
+// Keyed records in mildly disordered timestamps, so the window operator
+// also sees late records (behind the last watermark) and reorders the
+// rest. Half of them carry the key hash a hash edge stamps on field 0.
+// With `num_inputs` 2, the input ordinal switches at random points.
+ContractInput MakeContractInput(size_t n, int64_t num_keys, int num_inputs,
+                                uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int64_t> key(0, num_keys - 1);
+  std::uniform_int_distribution<int64_t> val(-50, 50);
+  std::uniform_int_distribution<int64_t> jitter(-12, 12);
+  std::uniform_int_distribution<size_t> wm_gap(1, 400);
+  std::uniform_int_distribution<size_t> input_run(1, 500);
+  std::uniform_int_distribution<int64_t> slack(0, 20);
+  ContractInput in;
+  Timestamp max_ts = 0;
+  Timestamp wm = kMinTimestamp;
+  size_t next_wm = wm_gap(rng);
+  size_t next_switch = input_run(rng);
+  int input = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const Timestamp ts =
+        std::max<Timestamp>(0, static_cast<Timestamp>(4 * i) + jitter(rng));
+    Record r = MakeRecord(ts, Value(key(rng)), Value(val(rng)));
+    if (rng() % 2 == 0) r.key_hash = KeyHashOf(r.field(0));
+    max_ts = std::max(max_ts, ts);
+    in.records.push_back(std::move(r));
+    if (i + 1 == next_switch) {
+      input = (input + 1) % num_inputs;
+      next_switch += input_run(rng);
+    }
+    in.inputs.push_back(input);
+    if (i + 1 == next_wm) {
+      wm = std::max(wm, max_ts - slack(rng));
+      in.watermarks.emplace_back(i + 1, wm);
+      next_wm += wm_gap(rng);
+    }
+  }
+  return in;
+}
+
+class DeltaCapture : public ChangelogSink {
+ public:
+  Status Append(std::string_view record) override {
+    bytes += std::to_string(record.size()) + ":";
+    bytes.append(record);
+    return Status::Ok();
+  }
+  std::string bytes;
+};
+
+// Snapshot bytes and, for operators with incremental state, the changelog
+// records since the previous call (SnapshotDelta clears them).
+std::string StateBytes(Operator* op) {
+  BinaryWriter w;
+  Status st = op->SnapshotState(&w);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  std::string bytes = w.Release();
+  if (op->SupportsIncrementalState()) {
+    DeltaCapture delta;
+    st = op->SnapshotDelta(&delta);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    bytes += "|" + delta.bytes;
+  }
+  return bytes;
+}
+
+std::vector<Record> ContractOutput(const ContractSubject& subject,
+                                   std::vector<Record>* collected) {
+  return subject.sink != nullptr ? subject.sink->records()
+                                 : std::move(*collected);
+}
+
+// Drives one instance record-at-a-time and one over random batch splits
+// (sizes 1 to 300, never across a watermark or an input switch), then
+// compares the emitted records and, after every watermark and at the end,
+// the state bytes (changelog recording on).
+void ExpectBatchContract(const SubjectFn& make, const ContractInput& in,
+                         uint32_t split_seed) {
+  const std::string run = "split seed " + std::to_string(split_seed);
+  ContractSubject ref = make();
+  ContractSubject batched = make();
+  for (ContractSubject* s : {&ref, &batched}) {
+    ASSERT_TRUE(s->op->Open(OperatorContext{}).ok());
+    s->op->EnableIncrementalState();
+  }
+  std::vector<Record> ref_records, batched_records;
+  VectorCollector ref_out(&ref_records), batched_out(&batched_records);
+
+  std::mt19937 rng(split_seed);
+  std::uniform_int_distribution<size_t> small(1, 4);
+  std::uniform_int_distribution<size_t> large(1, 300);
+  size_t pos = 0;
+  const auto drive_to = [&](size_t end) {
+    for (size_t i = pos; i < end; ++i) {
+      ref.op->ProcessRecord(in.inputs[i], Record(in.records[i]), &ref_out);
+    }
+    while (pos < end) {
+      // One in four batches is tiny, so one-record batches are common.
+      size_t cut = std::min(end, pos + (rng() % 4 == 0 ? small(rng)
+                                                        : large(rng)));
+      for (size_t i = pos + 1; i < cut; ++i) {
+        if (in.inputs[i] != in.inputs[pos]) cut = i;
+      }
+      std::vector<Record> batch(in.records.begin() + pos,
+                                in.records.begin() + cut);
+      batched.op->ProcessBatch(in.inputs[pos], std::move(batch),
+                               &batched_out);
+      pos = cut;
+    }
+  };
+  for (const auto& [at, wm] : in.watermarks) {
+    drive_to(at);
+    ref.op->ProcessWatermark(wm, &ref_out);
+    batched.op->ProcessWatermark(wm, &batched_out);
+    ASSERT_TRUE(StateBytes(ref.op.get()) == StateBytes(batched.op.get()))
+        << "state differs: " << run << ", after watermark " << wm
+        << " at record " << at;
+  }
+  drive_to(in.records.size());
+  ref.op->ProcessWatermark(kMaxTimestamp, &ref_out);
+  batched.op->ProcessWatermark(kMaxTimestamp, &batched_out);
+  ref.op->OnEndOfInput(&ref_out);
+  batched.op->OnEndOfInput(&batched_out);
+  EXPECT_TRUE(StateBytes(ref.op.get()) == StateBytes(batched.op.get()))
+      << "state differs: " << run << ", at end of input";
+  const std::vector<Record> want = ContractOutput(ref, &ref_records);
+  EXPECT_FALSE(want.empty()) << run;
+  ExpectIdenticalOutput(want, ContractOutput(batched, &batched_records), run);
+  for (ContractSubject* s : {&ref, &batched}) {
+    ASSERT_TRUE(s->op->Close().ok());
+  }
+}
+
+// Sweeps inputs and batch splits: four inputs, two split seeds each.
+void ExpectBatchContract(const SubjectFn& make, int64_t num_keys = 16,
+                         int num_inputs = 1) {
+  for (uint32_t seed = 1; seed <= 4; ++seed) {
+    const ContractInput in =
+        MakeContractInput(3'000, num_keys, num_inputs, seed);
+    for (uint32_t split = 0; split < 2; ++split) {
+      ExpectBatchContract(make, in, 100 * seed + split);
+    }
+  }
+}
+
+SubjectFn OperatorSubject(std::function<std::unique_ptr<Operator>()> make) {
+  return [make = std::move(make)] { return ContractSubject{make(), nullptr}; };
+}
+
+TEST(BatchContractTest, Map) {
+  ExpectBatchContract(OperatorSubject([] {
+    return std::make_unique<MapOperator>("map", [](Record&& r) {
+      r.fields[1] = Value(r.field(1).AsInt64() * 3 + 1);
+      return std::move(r);
+    });
+  }));
+}
+
+TEST(BatchContractTest, FlatMap) {
+  ExpectBatchContract(OperatorSubject([] {
+    return std::make_unique<FlatMapOperator>(
+        "flatmap", [](Record&& r, Collector* out) {
+          // 0, 1 or 2 outputs per input, derived from record content.
+          const int64_t v = r.field(1).AsInt64();
+          if (v % 5 == 0) return;
+          if (v % 3 == 0) out->Emit(Record(r));
+          out->Emit(std::move(r));
+        });
+  }));
+}
+
+TEST(BatchContractTest, Filter) {
+  ExpectBatchContract(OperatorSubject([] {
+    return std::make_unique<FilterOperator>("filter", [](const Record& r) {
+      return r.field(1).AsInt64() % 3 != 0;
+    });
+  }));
+}
+
+std::unique_ptr<Operator> SumReduce() {
+  return std::make_unique<KeyedReduceOperator>(
+      "reduce", KeyField(0), [](const Record& acc, const Record& next) {
+        return MakeRecord(acc.timestamp, acc.field(0),
+                          Value(acc.field(1).AsInt64() +
+                                next.field(1).AsInt64()));
+      });
+}
+
+TEST(BatchContractTest, KeyedReduce) {
+  ExpectBatchContract(OperatorSubject(SumReduce));
+}
+
+TEST(BatchContractTest, KeyedReduceHighCardinality) {
+  // More keys than a batch holds: the per-batch key cache misses often.
+  ExpectBatchContract(OperatorSubject(SumReduce), /*num_keys=*/1'000);
+}
+
+TEST(BatchContractTest, UnionOfTwoInputs) {
+  ExpectBatchContract(OperatorSubject([] {
+                        return std::make_unique<UnionOperator>("union");
+                      }),
+                      /*num_keys=*/16, /*num_inputs=*/2);
+}
+
+TEST(BatchContractTest, SinkOverCollectSink) {
+  ExpectBatchContract([] {
+    auto sink = std::make_shared<CollectSink>();
+    return ContractSubject{std::make_unique<SinkOperator>("sink", sink), sink};
+  });
+}
+
+SubjectFn WindowSubject(WindowBackend backend, DynAggKind kind,
+                        std::vector<std::shared_ptr<const WindowFunction>>
+                            windows) {
+  return OperatorSubject([=] {
+    WindowAggSpec spec;
+    spec.key = KeyField(0);
+    spec.value_field = 1;
+    spec.agg_kind = kind;
+    spec.windows = windows;
+    spec.backend = backend;
+    return std::make_unique<WindowAggOperator>("window", spec);
+  });
+}
+
+TEST(BatchContractTest, SharedWindowAggregates) {
+  for (DynAggKind kind : {DynAggKind::kSum, DynAggKind::kMin,
+                          DynAggKind::kAvg, DynAggKind::kLast}) {
+    ExpectBatchContract(WindowSubject(
+        WindowBackend::kShared, kind,
+        {std::make_shared<TumblingWindowFn>(100),
+         std::make_shared<SlidingWindowFn>(240, 80),
+         std::make_shared<SessionWindowFn>(30),
+         std::make_shared<CountWindowFn>(7)}));
+  }
+}
+
+TEST(BatchContractTest, EagerWindowAggregates) {
+  for (DynAggKind kind : {DynAggKind::kSum, DynAggKind::kMax}) {
+    ExpectBatchContract(WindowSubject(
+        WindowBackend::kEager, kind,
+        {std::make_shared<TumblingWindowFn>(100),
+         std::make_shared<SlidingWindowFn>(240, 80)}));
   }
 }
 

@@ -62,7 +62,6 @@ struct CheckOptions {
   std::set<std::string> blocking_allowlist = {
       "WorkStealingPool::WorkerMain",
       "WorkStealingPool::TimerMain",
-      "ThreadPool::WorkerMain",
   };
   /// Which checks to run (empty = all).
   std::set<std::string> only;
