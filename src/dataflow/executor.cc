@@ -69,7 +69,6 @@ struct OutputTarget {
 
 struct OutputEdge {
   PartitionScheme scheme = PartitionScheme::kForward;
-  KeySelector key;
   int key_field = -1;  // >= 0: hash this record field in place
   KeyHashFn key_hash;  // hash-only selector for generic (non-field) keys
   std::vector<OutputTarget> targets;  // indexed by downstream subtask
@@ -80,14 +79,6 @@ struct OutputEdge {
 // fields per record is hot-path work, so bytes_out is sampled (every
 // sampled record stands in for the whole stride).
 constexpr uint64_t kBytesSampleStride = 32;
-
-// Events drained from one channel before the poll loop moves on. One event
-// is already a whole record batch, so amortization does not need a larger
-// budget -- and visiting channels event-by-event keeps multi-input
-// operators (joins, unions) close to arrival order and lets the combined
-// watermark advance instead of one channel racing ahead by thousands of
-// records.
-constexpr size_t kDrainBudgetPerVisit = 1;
 
 }  // namespace
 
@@ -116,7 +107,6 @@ class Task : public Schedulable {
   // producer push notifies this task, so it can go idle when all channels
   // are empty.
   std::vector<std::unique_ptr<InputChannel>> inputs;
-  int num_inputs = 0;
   std::vector<int> channel_ordinal;
   std::vector<OutputEdge> outputs;
   size_t batch_size = 256;
@@ -158,10 +148,10 @@ class Task : public Schedulable {
     for (auto& op : ops) {
       STREAMLINE_RETURN_IF_ERROR(op->Open(ctx));
     }
-    channel_wm_.assign(num_inputs, kMinTimestamp);
-    channel_open_.assign(num_inputs, true);
-    channel_aligned_.assign(num_inputs, false);
-    open_channels_ = num_inputs;
+    channel_wm_.assign(inputs.size(), kMinTimestamp);
+    channel_open_.assign(inputs.size(), true);
+    channel_aligned_.assign(inputs.size(), false);
+    open_channels_ = static_cast<int>(inputs.size());
     for (OutputEdge& edge : outputs) {
       for (OutputTarget& target : edge.targets) {
         target.buffer.reserve(batch_size);
@@ -322,11 +312,10 @@ class Task : public Schedulable {
   class RouterCollector : public Collector {
    public:
     explicit RouterCollector(Task* task) : task_(task) {}
-    void Emit(Record&& record) override {
-      task_->RouteRecord(std::move(record));
-    }
+    void Emit(Record&& record) override { task_->Route(&record, 1); }
     void EmitBatch(std::vector<Record>&& batch) override {
-      task_->RouteBatch(std::move(batch));
+      task_->Route(batch.data(), batch.size());
+      batch.clear();
     }
 
    private:
@@ -365,25 +354,22 @@ class Task : public Schedulable {
     Collector* downstream_;  // what `next_` emits into
   };
 
-  class SourceTaskContext : public SourceContext {
+  class SourceTaskContext final : public SourceContext {
    public:
     explicit SourceTaskContext(Task* task) : task_(task) {}
-    bool Emit(Record&& record) override {
-      // Barriers are injected between records: the snapshot sees the source
-      // position before this record, and the barrier is broadcast before
-      // the record travels downstream. (The barrier handler flushes the
-      // pending source batch first, so batching never reorders a record
-      // across a barrier.) A fault here still delivers the staged records,
-      // which precede it.
-      if (!task_->OpenSourceSpan(&record, 1)) return false;
-      task_->BufferSourceRecord(std::move(record));
-      // A chained operator or sink may have failed while processing this
-      // record (recorded via Fail); stop emitting then.
-      return task_->task_status_.ok();
-    }
+    /// One record is a span of one.
+    bool Emit(Record&& record) override { return EmitSpan(&record, 1); }
     bool EmitSpan(Record* records, size_t n) override {
+      // Barriers are injected between spans: the snapshot sees the source
+      // position before this span, and the barrier is broadcast before the
+      // span travels downstream. (The barrier handler flushes the pending
+      // source batch first, so batching never reorders a record across a
+      // barrier.) A fault here still delivers the staged records, which
+      // precede it.
       if (!task_->OpenSourceSpan(records, n)) return false;
       task_->BufferSourceSpan(records, n);
+      // A chained operator or sink may have failed while processing these
+      // records (recorded via Fail); stop emitting then.
       return task_->task_status_.ok();
     }
     bool EmitBatch(std::vector<Record>&& batch) override {
@@ -502,11 +488,11 @@ class Task : public Schedulable {
     for (size_t pass = 0; pass < kPassesPerMorsel && open_channels_ > 0 &&
                           task_status_.ok() && !overflow_pending_;
          ++pass) {
-      size_t drained = 0;
+      bool drained = false;
       for (size_t c = 0; c < inputs.size(); ++c) {
-        drained += DrainChannel(c, kDrainBudgetPerVisit);
+        drained |= DrainChannel(c);
       }
-      if (drained == 0) break;
+      if (!drained) break;
     }
     if (!task_status_.ok()) return true;
     if (open_channels_ == 0) {
@@ -525,16 +511,20 @@ class Task : public Schedulable {
     job_->TaskFinished();
   }
 
-  size_t DrainChannel(size_t c, size_t budget) {
-    size_t drained = 0;
+  /// Pops and dispatches at most one event of channel `c`; returns whether
+  /// it did. One event is already a whole record batch, so amortization
+  /// does not need more per visit -- and visiting channels event-by-event
+  /// keeps multi-input operators (joins, unions) close to arrival order and
+  /// lets the combined watermark advance instead of one channel racing
+  /// ahead by thousands of records.
+  bool DrainChannel(size_t c) {
     StreamEvent ev;
-    while (drained < budget && channel_open_[c] && task_status_.ok() &&
-           !(aligning_ && channel_aligned_[c]) &&
-           inputs[c]->events.TryPop(&ev)) {
-      Dispatch(static_cast<int>(c), std::move(ev));
-      ++drained;
+    if (!channel_open_[c] || !task_status_.ok() ||
+        (aligning_ && channel_aligned_[c]) || !inputs[c]->events.TryPop(&ev)) {
+      return false;
     }
-    return drained;
+    Dispatch(static_cast<int>(c), std::move(ev));
+    return true;
   }
 
   bool AnyInputReady() const {
@@ -600,7 +590,7 @@ class Task : public Schedulable {
   void DeliverBatch(int ordinal, std::vector<Record>&& batch) {
     if (batch.empty()) return;
     if (ops.empty()) {
-      RouteBatch(std::move(batch));
+      router_->EmitBatch(std::move(batch));
       return;
     }
     // ops[0] is chain element 0 of an operator task, element 1 behind a
@@ -665,19 +655,12 @@ class Task : public Schedulable {
     return false;
   }
 
-  /// Source-side batching: records a source Emit()s accumulate here and
-  /// travel through the chain batch-at-a-time. Flushed eagerly before
-  /// every control event (watermark, barrier, idle, end of input) so
-  /// batching never reorders records against control flow.
-  void BufferSourceRecord(Record&& record) {
-    source_batch_.push_back(std::move(record));
-    if (source_batch_.size() >= batch_size) FlushSourceBatch();
-  }
-
-  /// Span twin of BufferSourceRecord: appends a contiguous run of records
-  /// to the pending source batch, flushing at batch-size boundaries. The
-  /// inner loop is just a move per record -- no per-record virtual
-  /// dispatch or status checks.
+  /// Source-side batching: records a source emits accumulate here and
+  /// travel through the chain batch-at-a-time. Appends a contiguous run of
+  /// records to the pending source batch, flushing at batch-size
+  /// boundaries; the inner loop is just a move per record. Flushed eagerly
+  /// before every control event (watermark, barrier, idle, end of input)
+  /// so batching never reorders records against control flow.
   void BufferSourceSpan(Record* records, size_t n) {
     size_t i = 0;
     while (i < n) {
@@ -718,7 +701,7 @@ class Task : public Schedulable {
   void RecomputeWatermark() {
     if (open_channels_ == 0) return;  // final watermark handled at loop exit
     Timestamp min_wm = kMaxTimestamp;
-    for (int c = 0; c < num_inputs; ++c) {
+    for (size_t c = 0; c < inputs.size(); ++c) {
       if (channel_open_[c]) min_wm = std::min(min_wm, channel_wm_[c]);
     }
     if (min_wm > task_wm_) {
@@ -743,7 +726,7 @@ class Task : public Schedulable {
 
   void CheckAlignmentComplete() {
     if (!aligning_) return;
-    for (int c = 0; c < num_inputs; ++c) {
+    for (size_t c = 0; c < inputs.size(); ++c) {
       if (channel_open_[c] && !channel_aligned_[c]) return;
     }
     // Every live input delivered the barrier: state is consistent. The
@@ -898,165 +881,102 @@ class Task : public Schedulable {
     return drained > 0;
   }
 
-  void RouteRecord(Record&& record) {
-    // Metric updates are batched: per-record atomic RMWs and per-record
-    // ApproxBytes walks both show up on profiles. Record counts stay exact
-    // (flushed with every shipped batch); bytes are sampled, with every
-    // kBytesSampleStride-th record standing in for the whole stride.
-    ++pending_records_out_;
-    if ((route_count_++ & (kBytesSampleStride - 1)) == 0) {
-      pending_bytes_out_ += record.ApproxBytes() * kBytesSampleStride;
-    }
+  /// The one router: partitions a span of records over every output edge.
+  /// Edge-major: each edge takes the whole span before the next, with its
+  /// scheme switch outside the record loop, so the common single-edge case
+  /// runs one tight loop (hash stamping + target push, no per-record
+  /// dispatch). Non-last edges push copies; the last edge moves, leaving
+  /// the span's records moved-from. Per-channel order is span order.
+  void Route(Record* records, size_t n) {
+    CountRoutedBatch(records, n);
     for (size_t e = 0; e < outputs.size(); ++e) {
       OutputEdge& edge = outputs[e];
       const bool last_edge = (e + 1 == outputs.size());
+      const size_t num_targets = edge.targets.size();
       switch (edge.scheme) {
-        case PartitionScheme::kForward: {
-          record.key_hash = Record::kNoKeyHash;
-          // analyzer:allow(record-copy-in-hot-path): non-last edges must keep the record; only the final edge may move it
-          Push(edge.targets[subtask_],
-               last_edge ? std::move(record) : record);
+        case PartitionScheme::kForward:
+          for (size_t i = 0; i < n; ++i) {
+            records[i].key_hash = Record::kNoKeyHash;
+            Hand(edge.targets[subtask_], records[i], last_edge);
+          }
           break;
-        }
-        case PartitionScheme::kHash: {
+        case PartitionScheme::kHash:
           // Hash-once: compute the key hash here and stamp it on the
           // record, so the keyed operator behind this edge indexes its
           // state with the carried hash instead of re-hashing. A plain
           // field key is hashed in place; a generic key goes through the
           // edge's hash-only selector. An inbound key_hash is never
           // trusted (it may belong to a different edge's key).
-          const uint64_t h = edge.key_field >= 0
-                                 ? KeyHashOf(record.fields[edge.key_field])
-                                 : edge.key_hash(record);
-          record.key_hash = h;
-          // analyzer:allow(record-copy-in-hot-path): non-last edges must keep the record; only the final edge may move it
-          Push(edge.targets[h % edge.targets.size()],
-               last_edge ? std::move(record) : record);
+          if (edge.key_field >= 0) {
+            const int field = edge.key_field;
+            for (size_t i = 0; i < n; ++i) {
+              const uint64_t h = KeyHashOf(records[i].fields[field]);
+              records[i].key_hash = h;
+              Hand(edge.targets[h % num_targets], records[i], last_edge);
+            }
+          } else {
+            for (size_t i = 0; i < n; ++i) {
+              const uint64_t h = edge.key_hash(records[i]);
+              records[i].key_hash = h;
+              Hand(edge.targets[h % num_targets], records[i], last_edge);
+            }
+          }
           break;
-        }
-        case PartitionScheme::kRebalance: {
+        case PartitionScheme::kRebalance:
           // Reset the carried hash on non-hash edges: a stale hash from an
           // upstream shuffle keyed differently must never reach a keyed
           // operator looking like its own.
-          record.key_hash = Record::kNoKeyHash;
-          const size_t target = edge.rr++ % edge.targets.size();
-          // analyzer:allow(record-copy-in-hot-path): non-last edges must keep the record; only the final edge may move it
-          Push(edge.targets[target], last_edge ? std::move(record) : record);
-          break;
-        }
-        case PartitionScheme::kBroadcast: {
-          record.key_hash = Record::kNoKeyHash;
-          // Fan out with copies to all but the final target; the final
-          // target takes the move when this is also the last edge.
-          const size_t fanout = edge.targets.size();
-          for (size_t t = 0; t + 1 < fanout; ++t) {
-            // analyzer:allow(record-copy-in-hot-path): broadcast must hand every non-final target its own copy
-            Push(edge.targets[t], record);
+          for (size_t i = 0; i < n; ++i) {
+            records[i].key_hash = Record::kNoKeyHash;
+            Hand(edge.targets[edge.rr++ % num_targets], records[i],
+                 last_edge);
           }
-          // analyzer:allow(record-copy-in-hot-path): non-last edges must keep the record; only the final edge may move it
-          Push(edge.targets[fanout - 1],
-               last_edge ? std::move(record) : record);
           break;
-        }
+        case PartitionScheme::kBroadcast:
+          for (size_t i = 0; i < n; ++i) {
+            Record& record = records[i];
+            record.key_hash = Record::kNoKeyHash;
+            for (size_t t = 0; t + 1 < num_targets; ++t) {
+              // analyzer:allow(record-copy-in-hot-path): broadcast must hand every non-final target its own copy
+              Record copy = record;
+              Push(edge.targets[t], std::move(copy));
+            }
+            Hand(edge.targets[num_targets - 1], record, last_edge);
+          }
+          break;
       }
     }
   }
 
-  /// Batch-path twin of RouteRecord: partitions a whole batch in one pass.
-  /// The common single-edge case gets a tight per-scheme loop (hash
-  /// stamping + target push, no per-record dispatch); multi-edge plans
-  /// fall back to the per-record router.
-  void RouteBatch(std::vector<Record>&& batch) {
-    if (batch.empty()) return;
-    if (outputs.empty()) {
-      // Terminal chain (sink emitted nothing downstream of it); count the
-      // records like RouteRecord would.
-      CountRoutedBatch(batch);
-      batch.clear();
-      return;
+  /// Hands `record` to `target`: the last edge moves it, any other edge
+  /// pushes a copy (the edges after it still need the record).
+  void Hand(OutputTarget& target, Record& record, bool last_edge) {
+    if (last_edge) {
+      Push(target, std::move(record));
+    } else {
+      // analyzer:allow(record-copy-in-hot-path): non-last edges must keep the record; only the final edge may move it
+      Record copy = record;
+      Push(target, std::move(copy));
     }
-    if (outputs.size() != 1) {
-      for (Record& record : batch) RouteRecord(std::move(record));
-      batch.clear();
-      return;
-    }
-    CountRoutedBatch(batch);
-    OutputEdge& edge = outputs[0];
-    const size_t num_targets = edge.targets.size();
-    switch (edge.scheme) {
-      case PartitionScheme::kForward: {
-        OutputTarget& target = edge.targets[subtask_];
-        for (Record& record : batch) {
-          record.key_hash = Record::kNoKeyHash;
-          target.buffer.push_back(std::move(record));
-        }
-        if (target.buffer.size() >= batch_size) FlushTarget(&target);
-        break;
-      }
-      case PartitionScheme::kHash: {
-        // Hash-once, one pass: stamp every record's key hash and scatter
-        // into the per-target buffers (see RouteRecord for the stamping
-        // contract).
-        if (edge.key_field >= 0) {
-          const int field = edge.key_field;
-          for (Record& record : batch) {
-            const uint64_t h = KeyHashOf(record.fields[field]);
-            record.key_hash = h;
-            OutputTarget& target = edge.targets[h % num_targets];
-            target.buffer.push_back(std::move(record));
-            if (target.buffer.size() >= batch_size) FlushTarget(&target);
-          }
-        } else {
-          for (Record& record : batch) {
-            const uint64_t h = edge.key_hash(record);
-            record.key_hash = h;
-            OutputTarget& target = edge.targets[h % num_targets];
-            target.buffer.push_back(std::move(record));
-            if (target.buffer.size() >= batch_size) FlushTarget(&target);
-          }
-        }
-        break;
-      }
-      case PartitionScheme::kRebalance: {
-        for (Record& record : batch) {
-          record.key_hash = Record::kNoKeyHash;
-          OutputTarget& target = edge.targets[edge.rr++ % num_targets];
-          target.buffer.push_back(std::move(record));
-          if (target.buffer.size() >= batch_size) FlushTarget(&target);
-        }
-        break;
-      }
-      case PartitionScheme::kBroadcast: {
-        for (Record& record : batch) {
-          record.key_hash = Record::kNoKeyHash;
-          // Copies go to all but the final target; the batch owns its
-          // records, so the final target always takes the move.
-          for (size_t t = 0; t + 1 < num_targets; ++t) {
-            // analyzer:allow(record-copy-in-hot-path): broadcast must hand every non-final target its own copy
-            Push(edge.targets[t], record);
-          }
-          Push(edge.targets[num_targets - 1], std::move(record));
-        }
-        break;
-      }
-    }
-    batch.clear();
   }
 
-  /// Batched routing metrics, same cadence as RouteRecord: record counts
-  /// exact, bytes sampled every kBytesSampleStride-th routed record.
-  void CountRoutedBatch(const std::vector<Record>& batch) {
-    pending_records_out_ += batch.size();
+  /// Batched routing metrics: per-record atomic RMWs and per-record
+  /// ApproxBytes walks both show up on profiles, so counts accumulate here
+  /// and flush with every shipped batch. Record counts stay exact; bytes
+  /// are sampled, every kBytesSampleStride-th routed record standing in for
+  /// the whole stride.
+  void CountRoutedBatch(const Record* records, size_t n) {
+    pending_records_out_ += n;
     const uint64_t mask = kBytesSampleStride - 1;
     size_t off = static_cast<size_t>((kBytesSampleStride -
                                       (route_count_ & mask)) & mask);
-    for (; off < batch.size(); off += kBytesSampleStride) {
-      pending_bytes_out_ += batch[off].ApproxBytes() * kBytesSampleStride;
+    for (; off < n; off += kBytesSampleStride) {
+      pending_bytes_out_ += records[off].ApproxBytes() * kBytesSampleStride;
     }
-    route_count_ += batch.size();
+    route_count_ += n;
   }
 
-  void Push(OutputTarget& target, Record record) {
+  void Push(OutputTarget& target, Record&& record) {
     target.buffer.push_back(std::move(record));
     if (target.buffer.size() >= batch_size) FlushTarget(&target);
   }
@@ -1195,11 +1115,11 @@ class Task : public Schedulable {
   // morsel whose flush succeeds marks the task done.
   bool finishing_ = false;
 
-  // Source-side batching (see BufferSourceRecord): accumulates source
+  // Source-side batching (see BufferSourceSpan): accumulates source
   // emits; its capacity survives every flush (task-serialized).
   std::vector<Record> source_batch_;
 
-  // Batched metric state (task-serialized; see RouteRecord).
+  // Batched metric state (task-serialized; see CountRoutedBatch).
   uint64_t pending_records_out_ = 0;
   uint64_t pending_bytes_out_ = 0;
   uint64_t route_count_ = 0;
@@ -1312,7 +1232,7 @@ Result<std::unique_ptr<Job>> Job::Create(const LogicalGraph& graph,
     for (size_t s = 0; s < up_tasks.size(); ++s) {
       for (size_t t = 0; t < down_tasks.size(); ++t) {
         internal::Task* down = job->tasks_[down_tasks[t]].get();
-        channel_of[s][t] = down->num_inputs++;
+        channel_of[s][t] = static_cast<int>(down->inputs.size());
         down->channel_ordinal.push_back(e.input_ordinal);
         // Dedicated SPSC channel: upstream subtask s is its only producer,
         // downstream task t its only consumer.
@@ -1324,7 +1244,6 @@ Result<std::unique_ptr<Job>> Job::Create(const LogicalGraph& graph,
       internal::Task* up = job->tasks_[up_tasks[s]].get();
       internal::OutputEdge out;
       out.scheme = e.scheme;
-      out.key = e.key;
       out.key_field = e.key_field;
       out.key_hash = e.key_hash;
       for (size_t t = 0; t < down_tasks.size(); ++t) {

@@ -15,8 +15,7 @@ Status KeyedReduceOperator::Open(const OperatorContext& ctx) {
   return Status::Ok();
 }
 
-void KeyedReduceOperator::ProcessRecord(int, Record&& record,
-                                        Collector* out) {
+const Record& KeyedReduceOperator::Reduce(Record&& record) {
   // Hash-once: the shuffle stamped the key hash; records driven in directly
   // (tests) fall back to hashing here.
   const Value key = key_(record);
@@ -28,67 +27,21 @@ void KeyedReduceOperator::ProcessRecord(int, Record&& record,
     reduced.timestamp = std::max(entry->second.timestamp, record.timestamp);
     entry->second = std::move(reduced);
   }
-  out->Emit(Record(entry->second));
+  return entry->second;
 }
 
+void KeyedReduceOperator::ProcessRecord(int, Record&& record,
+                                        Collector* out) {
+  out->Emit(Record(Reduce(std::move(record))));
+}
+
+/// In place: each record is replaced by its key's updated accumulator.
 void KeyedReduceOperator::ProcessBatch(int, std::vector<Record>&& batch,
                                        Collector* out) {
-  if (batch.empty()) return;
-  // Start a fresh cache generation; stale slots read as empty, so clearing
-  // between batches costs nothing.
-  if (++cache_gen_ == 0) {
-    cache_.assign(cache_.size(), CacheSlot{});
-    cache_gen_ = 1;
-  }
-  // Keep the cache a power of two at most half full so linear probing
-  // terminates (at most batch.size() distinct keys are inserted per
-  // generation).
-  size_t want = 16;
-  while (want < batch.size() * 2) want <<= 1;
-  if (cache_.size() < want) cache_.assign(want, CacheSlot{});
-  const size_t mask = cache_.size() - 1;
-
-  batch_out_.clear();
-  batch_out_.reserve(batch.size());
-  for (Record& record : batch) {
-    const Value key = key_(record);
-    const uint64_t hash =
-        record.has_key_hash() ? record.key_hash : KeyHashOf(key);
-    std::pair<Value, Record>* entry = nullptr;
-    size_t slot = hash & mask;
-    for (;;) {
-      CacheSlot& s = cache_[slot];
-      if (s.gen != cache_gen_) {
-        // First time this key is seen in the batch: one real map probe,
-        // then memoize the dense entry index (stable -- no erases here).
-        auto [e, inserted] = state_.Emplace(key, hash, std::move(record));
-        s = CacheSlot{hash, static_cast<uint32_t>(e - state_.begin()),
-                      cache_gen_};
-        if (inserted) {
-          // The record itself became the accumulator; nothing to reduce.
-          batch_out_.push_back(Record(e->second));
-        } else {
-          entry = e;
-        }
-        break;
-      }
-      // Verify the key on a hash match: distinct keys can share a hash.
-      if (s.hash == hash && state_.begin()[s.index].first == key) {
-        entry = state_.begin() + s.index;
-        state_.Touch(key, hash);
-        break;
-      }
-      slot = (slot + 1) & mask;
-    }
-    if (entry != nullptr) {
-      Record reduced = reduce_(entry->second, record);
-      reduced.timestamp = std::max(entry->second.timestamp, record.timestamp);
-      entry->second = std::move(reduced);
-      batch_out_.push_back(Record(entry->second));
-    }
-  }
-  batch.clear();
-  out->EmitBatch(std::move(batch_out_));
+  // Copy-assignment reuses the input record's field storage when the key
+  // already had an accumulator (Reduce only reads the record then).
+  for (Record& record : batch) record = Reduce(std::move(record));
+  out->EmitBatch(std::move(batch));
 }
 
 void KeyedReduceOperator::ProcessWatermark(Timestamp, Collector*) {

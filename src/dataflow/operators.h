@@ -129,24 +129,14 @@ class KeyedReduceOperator : public Operator {
   size_t num_keys() const { return state_.size(); }
 
  private:
+  /// Reduces `record` into its key's accumulator in `state_` and returns
+  /// the accumulator (valid until the next insert or erase).
+  const Record& Reduce(Record&& record);
+
   std::string name_;
   KeySelector key_;
   ReduceFn reduce_;
   KeyedState<Record, RecordCodec> state_;
-
-  // Per-batch key cache: open-addressed {key_hash -> dense entry index}
-  // scratch table, generation-stamped so clearing between batches is O(1).
-  // Repeated keys within a batch (the common case behind a hash shuffle)
-  // skip the full state_ probe. Entry indices are stable because state_
-  // stores entries densely and ProcessBatch never erases.
-  struct CacheSlot {
-    uint64_t hash = 0;
-    uint32_t index = 0;
-    uint32_t gen = 0;
-  };
-  std::vector<CacheSlot> cache_;
-  uint32_t cache_gen_ = 0;
-  std::vector<Record> batch_out_;
 };
 
 /// Merges any number of inputs into one stream (the input ordinal is

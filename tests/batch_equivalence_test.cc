@@ -204,8 +204,9 @@ TEST(BatchEquivalenceTest, KeyedReduceOverHashEdge) {
 }
 
 TEST(BatchEquivalenceTest, KeyedReduceHighCardinality) {
-  // More keys than any batch holds: the per-batch key cache misses often,
-  // and repeated keys within one batch hit it.
+  // More keys than any batch holds: most records of a batch insert or
+  // update a key the batch has not touched yet, and repeated keys within
+  // one batch update the accumulator the batch already wrote.
   ExpectBatchInvariant([](Environment& env) {
     return env.FromRecords(TestInput(4'000, 14, 1'000))
         .KeyBy(0)
@@ -626,7 +627,8 @@ TEST(BatchContractTest, KeyedReduce) {
 }
 
 TEST(BatchContractTest, KeyedReduceHighCardinality) {
-  // More keys than a batch holds: the per-batch key cache misses often.
+  // More keys than a batch holds: most records reach a key the batch has
+  // not touched yet.
   ExpectBatchContract(OperatorSubject(SumReduce), /*num_keys=*/1'000);
 }
 

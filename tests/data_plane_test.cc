@@ -1,15 +1,19 @@
 // Invariants of the executor's lock-free data plane: control-event
-// ordering, end-of-stream drain, and producer backpressure. Every pipeline
-// here forces a real channel (Rebalance breaks operator chaining) so the
-// SPSC rings and the poll loop are actually on the path under test.
+// ordering, end-of-stream drain, producer backpressure, and multi-edge
+// routing. Every pipeline here forces a real channel (Rebalance, or more
+// than one out-edge, breaks operator chaining) so the SPSC rings and the
+// poll loop are actually on the path under test.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "api/datastream.h"
 
@@ -141,6 +145,176 @@ TEST(DataPlaneTest, BackpressureBlocksProducerAtCapacity) {
   // either consumed or dropped with the cancelled source -- but nothing
   // was consumed twice.
   EXPECT_LE(consumed->load(), emitted->load());
+}
+
+// Terminal operator that hands every record, with the key hash it arrived
+// with, to the CollectSink of its own subtask.
+class SubtaskProbe : public Operator {
+ public:
+  explicit SubtaskProbe(std::vector<std::shared_ptr<CollectSink>> sinks)
+      : sinks_(std::move(sinks)) {}
+  Status Open(const OperatorContext& ctx) override {
+    sink_ = sinks_[ctx.subtask_index].get();
+    return Status::Ok();
+  }
+  void ProcessRecord(int, Record&& record, Collector*) override {
+    ASSERT_TRUE(sink_->Invoke(record).ok());
+  }
+  std::string Name() const override { return "probe"; }
+
+ private:
+  std::vector<std::shared_ptr<CollectSink>> sinks_;
+  CollectSink* sink_ = nullptr;
+};
+
+// Pass-through whose only ProcessRecord makes the default ProcessBatch hand
+// the router one record at a time (Collector::Emit); MapOperator hands it
+// whole batches (Collector::EmitBatch).
+class EmitEach : public Operator {
+ public:
+  void ProcessRecord(int, Record&& record, Collector* out) override {
+    out->Emit(std::move(record));
+  }
+  std::string Name() const override { return "emit-each"; }
+};
+
+// The computed key of the lambda-hashed edge, and its hash-only selector.
+Value LambdaKey(const Record& r) {
+  return Value("k" + std::to_string(r.field(0).AsInt64() % 11));
+}
+uint64_t LambdaKeyHash(const Record& r) { return KeyHashOf(LambdaKey(r)); }
+
+struct FanoutEdge {
+  const char* name;
+  PartitionScheme scheme;
+  int parallelism;
+  bool lambda_key;  // kHash only: computed key instead of field 0
+};
+
+// One upstream node with an out-edge of every partitioning scheme. Each
+// downstream subtask's rows, and the key hash each row arrives with, must
+// equal a plain oracle -- whether the upstream routes record by record or
+// batch by batch, at any batch size and in either edge order (the last edge
+// moves its records, earlier ones copy).
+TEST(DataPlaneTest, MultiEdgeFanoutMatchesOracle) {
+  constexpr int64_t kRecords = 1000;
+  std::vector<Record> input;
+  for (int64_t i = 0; i < kRecords; ++i) {
+    input.push_back(MakeRecord(i, Value(i * 7 % 50), Value(i),
+                               Value("payload-" + std::to_string(i))));
+  }
+  const std::vector<FanoutEdge> kEdges = {
+      {"hash_field", PartitionScheme::kHash, 3, false},
+      {"hash_lambda", PartitionScheme::kHash, 4, true},
+      {"rebalance", PartitionScheme::kRebalance, 3, false},
+      {"forward", PartitionScheme::kForward, 1, false},
+      {"broadcast", PartitionScheme::kBroadcast, 2, false},
+  };
+  for (const bool batch_upstream : {false, true}) {
+    for (const size_t batch_size : {size_t{1}, size_t{7}, size_t{256}}) {
+      for (const bool reversed : {false, true}) {
+        SCOPED_TRACE(std::string(batch_upstream ? "Map" : "Emit") +
+                     " upstream, batch_size " + std::to_string(batch_size) +
+                     (reversed ? ", edges reversed" : ""));
+        LogicalGraph g;
+        const int src = g.AddSource(
+            "src", 1, [&input](int, int) -> std::unique_ptr<SourceFunction> {
+              return std::make_unique<VectorSource>(input);
+            });
+        const int up = g.AddOperator(
+            "up", 1, [batch_upstream]() -> std::unique_ptr<Operator> {
+              if (!batch_upstream) return std::make_unique<EmitEach>();
+              return std::make_unique<MapOperator>(
+                  "up", [](Record&& r) { return std::move(r); });
+            });
+        ASSERT_TRUE(g.Connect(src, up, PartitionScheme::kForward).ok());
+        std::vector<std::vector<std::shared_ptr<CollectSink>>> sinks;
+        for (const FanoutEdge& edge : kEdges) {
+          sinks.emplace_back();
+          for (int t = 0; t < edge.parallelism; ++t) {
+            sinks.back().push_back(std::make_shared<CollectSink>());
+          }
+        }
+        std::vector<size_t> order = {0, 1, 2, 3, 4};
+        if (reversed) std::reverse(order.begin(), order.end());
+        for (const size_t k : order) {
+          const FanoutEdge& edge = kEdges[k];
+          const int node = g.AddOperator(
+              edge.name, edge.parallelism, [s = sinks[k]]() {
+                return std::make_unique<SubtaskProbe>(s);
+              });
+          Status st;
+          if (edge.scheme != PartitionScheme::kHash) {
+            st = g.Connect(up, node, edge.scheme);
+          } else if (edge.lambda_key) {
+            st = g.Connect(up, node, edge.scheme, LambdaKey, 0, -1,
+                           LambdaKeyHash);
+          } else {
+            st = g.Connect(up, node, edge.scheme, KeyField(0), 0, 0);
+          }
+          ASSERT_TRUE(st.ok()) << st.ToString();
+        }
+        JobOptions options;
+        options.batch_size = batch_size;
+        options.worker_threads = 2;
+        auto job = Job::Create(g, options);
+        ASSERT_TRUE(job.ok()) << job.status().ToString();
+        ASSERT_TRUE((*job)->Run().ok());
+        EXPECT_EQ(
+            (*job)->metrics()->GetCounter("task.src->up.records_out")->value(),
+            static_cast<uint64_t>(kRecords));
+
+        for (size_t k = 0; k < kEdges.size(); ++k) {
+          const FanoutEdge& edge = kEdges[k];
+          SCOPED_TRACE(edge.name);
+          // Oracle: per target subtask, the input rows it receives (in
+          // input order) and the key hash each carries.
+          const size_t p = static_cast<size_t>(edge.parallelism);
+          std::vector<std::vector<std::pair<int64_t, uint64_t>>> want(p);
+          uint64_t rr = 0;
+          for (const Record& r : input) {
+            const int64_t seq = r.field(1).AsInt64();
+            switch (edge.scheme) {
+              case PartitionScheme::kHash: {
+                const uint64_t h = edge.lambda_key ? LambdaKeyHash(r)
+                                                   : KeyHashOf(r.field(0));
+                want[h % p].emplace_back(seq, h);
+                break;
+              }
+              case PartitionScheme::kRebalance:
+                want[rr++ % p].emplace_back(seq, Record::kNoKeyHash);
+                break;
+              case PartitionScheme::kForward:
+              case PartitionScheme::kBroadcast:
+                for (auto& rows : want) {
+                  rows.emplace_back(seq, Record::kNoKeyHash);
+                }
+                break;
+            }
+          }
+          uint64_t received = 0;
+          for (size_t t = 0; t < p; ++t) {
+            std::vector<std::pair<int64_t, uint64_t>> got;
+            for (const Record& r : sinks[k][t]->records()) {
+              ASSERT_EQ(r.fields.size(), 3u);
+              EXPECT_EQ(r.timestamp, r.field(1).AsInt64());
+              EXPECT_EQ(r.field(2).AsString(),
+                        "payload-" + std::to_string(r.field(1).AsInt64()));
+              got.emplace_back(r.field(1).AsInt64(), r.key_hash);
+            }
+            EXPECT_EQ(got, want[t]) << "subtask " << t;
+            received += got.size();
+          }
+          EXPECT_EQ((*job)
+                        ->metrics()
+                        ->GetCounter("task." + std::string(edge.name) +
+                                     ".records_in")
+                        ->value(),
+                    received);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
