@@ -72,6 +72,15 @@ class SpscRing {
            tail_.load(std::memory_order_acquire);
   }
 
+  /// Consumer-side element count that touches only the consumer's cache
+  /// line: never above the true count (the cached tail lags the
+  /// producer's), so a consumer waiting for the count to fall below a mark
+  /// sees it no later than the true count gets there.
+  size_t ConsumerSize() const {
+    return static_cast<size_t>(cached_tail_ -
+                               head_.load(std::memory_order_relaxed));
+  }
+
   /// Approximate element count (exact only from a quiescent state).
   size_t size() const {
     const uint64_t tail = tail_.load(std::memory_order_acquire);

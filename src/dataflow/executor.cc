@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <deque>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -41,8 +40,11 @@ class WalChangelogSink : public ChangelogSink {
 /// rings are single-producer/single-consumer by construction -- every
 /// (upstream subtask, downstream subtask) pair gets its own InputChannel.
 struct InputChannel {
-  InputChannel(size_t capacity, Schedulable* consumer)
-      : events(capacity), recycle(capacity + 2), consumer(consumer) {}
+  InputChannel(size_t capacity, Schedulable* producer, Schedulable* consumer)
+      : events(capacity),
+        recycle(capacity + 2),
+        producer(producer),
+        consumer(consumer) {}
 
   SpscRing<StreamEvent> events;
   // Lossy buffer recycling: the consumer TryPushes drained
@@ -50,6 +52,12 @@ struct InputChannel {
   // TryPops them instead of allocating (allocates when empty). Steady
   // state ships batches with zero heap allocations.
   SpscRing<std::vector<Record>> recycle;
+  // The task feeding `events`. A producer that finds the ring full parks
+  // with `producer_waiting` set (Task::WaitForRoom); the consumer clears
+  // the flag and notifies it once the ring is down to half capacity
+  // (Task::WakeProducer).
+  Schedulable* producer;
+  std::atomic<bool> producer_waiting{false};
   // The task draining `events`: every successful push notifies it on the
   // pool, which is how an idle consumer gets its next morsel.
   Schedulable* consumer;
@@ -268,22 +276,19 @@ class Task : public Schedulable {
     const uint8_t phase = phase_.load(std::memory_order_relaxed);
     if (phase == kPhaseDone) return false;
     // Backpressure gate: stashed output must reach its rings before this
-    // task consumes anything new (or finishes). Keep rescheduling until
-    // the consumer makes room; FIFO requeues guarantee the consumer (and,
-    // during barrier alignment, the peer producer whose barrier it waits
-    // for) gets its turn in between.
+    // task consumes anything new (or finishes). On a pool of several
+    // workers, a task that still cannot ship parks until a consumer has
+    // made room: respinning would hold a worker the consumers (and sibling
+    // producers that are behind) need, and a source left without a worker
+    // falls behind in event time, so every keyed operator downstream
+    // buffers the other sources' records until its watermark catches up.
+    // On one worker a respin takes nobody's worker: the requeue goes
+    // behind every other ready task, and the producers re-offering in turn
+    // stay in step, where parked ones drift apart.
     if (overflow_pending_ && !FlushOverflow()) {
-      // Sustained failure means the consumer is behind; on oversubscribed
-      // cores an unthrottled respin storm here takes the very CPU the
-      // consumer needs to make room. Keep a short hot burst for latency,
-      // then hand the core over.
-      if (++flush_retry_streak_ >= kFlushRetryYieldThreshold) {
-        flush_retry_streak_ = 0;
-        std::this_thread::yield();
-      }
-      return true;
+      if (job_->pool_->num_workers() == 1) return true;
+      if (!WaitForRoom()) return false;
     }
-    flush_retry_streak_ = 0;
     if (finishing_) {
       MarkDone();
       return false;
@@ -523,6 +528,7 @@ class Task : public Schedulable {
         (aligning_ && channel_aligned_[c]) || !inputs[c]->events.TryPop(&ev)) {
       return false;
     }
+    WakeProducer(*inputs[c]);
     Dispatch(static_cast<int>(c), std::move(ev));
     return true;
   }
@@ -870,6 +876,7 @@ class Task : public Schedulable {
     size_t drained = 0;
     for (size_t c = 0; c < inputs.size(); ++c) {
       while (channel_open_[c] && inputs[c]->events.TryPop(&ev)) {
+        WakeProducer(*inputs[c]);
         if (ev.kind == StreamEvent::Kind::kEndOfStream) {
           channel_open_[c] = false;
           --open_channels_;
@@ -988,11 +995,12 @@ class Task : public Schedulable {
   /// on a channel only this suspended task can drain deadlocks the whole
   /// stack (suspended claims put cycles in the wait graph even though the
   /// dataflow itself is acyclic). Instead a full ring stashes the event
-  /// in the per-target overflow queue and the task simply reschedules:
-  /// its morsel loop stops consuming input and re-offers the overflow
-  /// (oldest first, so per-target order holds) until the consumer makes
-  /// room. Backpressure becomes scheduling state instead of a blocked
-  /// thread, which is what makes workers < tasks deadlock-free.
+  /// in the per-target overflow queue: the task stops consuming input,
+  /// re-offers the overflow (oldest first, so per-target order holds) at
+  /// the start of its next morsel and, while a ring stays full, parks
+  /// until that ring's consumer wakes it (WaitForRoom). Backpressure
+  /// becomes scheduling state instead of a blocked thread, which is what
+  /// makes workers < tasks deadlock-free.
   void PushEvent(OutputTarget& target, StreamEvent&& event) {
     InputChannel* ch = target.channel;
     if (target.overflow.empty() && ch->events.TryPush(std::move(event))) {
@@ -1001,6 +1009,39 @@ class Task : public Schedulable {
     }
     target.overflow.push_back(std::move(event));
     overflow_pending_ = true;
+  }
+
+  /// Parks the task on every channel its overflow waits for, then
+  /// re-offers once: a pop that landed before the flags were visible
+  /// notified nobody, so the retry must see its room. Returns whether the
+  /// overflow drained; if not, the task goes idle until a consumer's
+  /// WakeProducer notifies it.
+  bool WaitForRoom() {
+    for (OutputEdge& edge : outputs) {
+      for (OutputTarget& target : edge.targets) {
+        if (!target.overflow.empty()) {
+          target.channel->producer_waiting.store(true,
+                                                 std::memory_order_relaxed);
+        }
+      }
+    }
+    // Pairs with the fence in WakeProducer: either the retry below sees
+    // the consumer's pops or the consumer sees the flag.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    return FlushOverflow();
+  }
+
+  /// Consumer side of WaitForRoom, after every pop of `ch`: once the ring
+  /// is down to half capacity, wakes a producer parked on it. Waking at
+  /// half rather than at the first free slot lets the producer ship a run
+  /// of batches per morsel instead of one.
+  void WakeProducer(InputChannel& ch) {
+    if (ch.events.ConsumerSize() > ch.events.capacity() / 2) return;
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (ch.producer_waiting.load(std::memory_order_relaxed) &&
+        ch.producer_waiting.exchange(false, std::memory_order_relaxed)) {
+      job_->pool_->Notify(ch.producer);
+    }
   }
 
   /// Re-offers stashed overflow events, oldest first. Returns true when
@@ -1107,10 +1148,6 @@ class Task : public Schedulable {
   // loop stops consuming input until FlushOverflow drains everything
   // (task-serialized, like all non-atomic task state).
   bool overflow_pending_ = false;
-  // Consecutive morsels whose flush failed; past the threshold each failed
-  // respin yields the core to whoever should be draining (task-serialized).
-  static constexpr uint32_t kFlushRetryYieldThreshold = 16;
-  uint32_t flush_retry_streak_ = 0;
   // The finish epilogue ran but overflow was still pending: the next
   // morsel whose flush succeeds marks the task done.
   bool finishing_ = false;
@@ -1237,7 +1274,7 @@ Result<std::unique_ptr<Job>> Job::Create(const LogicalGraph& graph,
         // Dedicated SPSC channel: upstream subtask s is its only producer,
         // downstream task t its only consumer.
         down->inputs.push_back(std::make_unique<internal::InputChannel>(
-            options.channel_capacity, down));
+            options.channel_capacity, job->tasks_[up_tasks[s]].get(), down));
       }
     }
     for (size_t s = 0; s < up_tasks.size(); ++s) {

@@ -147,6 +147,73 @@ TEST(DataPlaneTest, BackpressureBlocksProducerAtCapacity) {
   EXPECT_LE(consumed->load(), emitted->load());
 }
 
+// A producer stalled on a full ring parks until its consumer has drained
+// the ring, instead of respinning: the morsels a job runs stay in
+// proportion to the records it moves, however long the consumer takes.
+// (Here a producer that respins on the full ring runs about half a million
+// morsels while the sink sleeps; a parked one, about a thousand.)
+TEST(DataPlaneTest, StalledProducerParksInsteadOfSpinning) {
+  constexpr uint64_t kRecords = 400;
+  auto consumed = std::make_shared<std::atomic<uint64_t>>(0);
+  Environment env;
+  env.FromGenerator("fast",
+                    [](uint64_t s) -> std::optional<Record> {
+                      if (s >= kRecords) return std::nullopt;
+                      return MakeRecord(static_cast<Timestamp>(s),
+                                        Value(static_cast<int64_t>(s)));
+                    })
+      .Rebalance(1)
+      .Sink(std::make_shared<CallbackSink>([consumed](const Record&) {
+        consumed->fetch_add(1, std::memory_order_relaxed);
+        std::this_thread::sleep_for(std::chrono::microseconds(250));
+      }));
+  JobOptions options;
+  options.worker_threads = 2;
+  options.channel_capacity = 2;
+  options.batch_size = 1;
+  auto job = env.CreateJob(options);
+  ASSERT_TRUE(job.ok());
+  ASSERT_TRUE((*job)->Run().ok());
+  EXPECT_EQ(consumed->load(), kRecords);
+  MetricsRegistry* metrics = (*job)->metrics();
+  double morsels = 0;
+  for (const char* kind : {"local", "stolen", "injected", "inline"}) {
+    morsels += metrics->GetGauge(std::string("scheduler.morsels_") + kind)
+                   ->value();
+  }
+  // Per record: one source morsel and one sink morsel, plus the wake-ups
+  // of the 1 ms idle-source timer over the ~100 ms the sink sleeps.
+  EXPECT_LE(morsels, 20.0 * kRecords) << "morsels=" << morsels;
+}
+
+// Only its consumer's pops wake a parked operator task: no timer re-polls
+// it the way the job re-polls idle sources, so one lost wake-up hangs the
+// job (and the test times out). One-event rings and one-record batches
+// make every hand-off between the map tasks and the sink a park/wake race.
+TEST(DataPlaneTest, ParkedOperatorProducerIsAlwaysWoken) {
+  constexpr uint64_t kRecords = 20'000;
+  for (size_t workers : {1, 2, 4}) {
+    Environment env;
+    auto sink = env.FromGenerator("seq",
+                                  [](uint64_t s) -> std::optional<Record> {
+                                    if (s >= kRecords) return std::nullopt;
+                                    return MakeRecord(
+                                        static_cast<Timestamp>(s),
+                                        Value(static_cast<int64_t>(s)));
+                                  })
+                    .Rebalance(2)
+                    .Map([](Record&& r) { return std::move(r); }, "relay")
+                    .Rebalance(1)
+                    .Collect();
+    JobOptions options;
+    options.worker_threads = workers;
+    options.channel_capacity = 1;
+    options.batch_size = 1;
+    ASSERT_TRUE(env.Execute(options).ok()) << workers << " workers";
+    EXPECT_EQ(sink->size(), kRecords) << workers << " workers";
+  }
+}
+
 // Terminal operator that hands every record, with the key hash it arrived
 // with, to the CollectSink of its own subtask.
 class SubtaskProbe : public Operator {
