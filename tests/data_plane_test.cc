@@ -191,7 +191,7 @@ TEST(DataPlaneTest, StalledProducerParksInsteadOfSpinning) {
 // job (and the test times out). One-event rings and one-record batches
 // make every hand-off between the map tasks and the sink a park/wake race.
 TEST(DataPlaneTest, ParkedOperatorProducerIsAlwaysWoken) {
-  constexpr uint64_t kRecords = 20'000;
+  constexpr uint64_t kRecords = 200'000;
   for (size_t workers : {1, 2, 4}) {
     Environment env;
     auto sink = env.FromGenerator("seq",
