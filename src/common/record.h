@@ -242,7 +242,12 @@ struct Record {
   uint64_t key_hash = kNoKeyHash;
   FieldVec fields;
 
-  Record() = default;
+  // User-provided rather than `= default`: value-initialization
+  // (`Record()`, `emplace_back()`, `resize(n)`) then runs only the member
+  // initializers above instead of first zero-filling the whole record,
+  // which GCC lowers to a `rep stos` that cost more than decoding a
+  // two-field record in place.
+  Record() {}
   Record(Timestamp ts, FieldVec f)
       : timestamp(ts), fields(std::move(f)) {}
 

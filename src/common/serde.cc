@@ -31,115 +31,97 @@ void BinaryWriter::WriteRecord(const Record& r) {
   for (const Value& v : r.fields) WriteValue(v);
 }
 
-Status BinaryReader::ReadRaw(void* out, size_t len) {
-  if (pos_ + len > data_.size()) {
-    return Status::OutOfRange("truncated buffer: need " +
-                              std::to_string(len) + " bytes, have " +
-                              std::to_string(data_.size() - pos_));
-  }
-  std::memcpy(out, data_.data() + pos_, len);
-  pos_ += len;
-  return Status::Ok();
+namespace {
+
+// Error texts are built out of line and only on failure, so the decode
+// paths carry no string building.
+[[gnu::cold]] Status TruncatedString(uint64_t len) {
+  return Status::OutOfRange("truncated string of length " +
+                            std::to_string(len));
 }
 
-Result<uint8_t> BinaryReader::ReadU8() {
-  uint8_t v = 0;
-  Status st = ReadRaw(&v, sizeof(v));
-  if (!st.ok()) return st;
-  return v;
+[[gnu::cold]] Status UnknownTag(uint8_t tag) {
+  return Status::Internal("unknown Value tag " + std::to_string(tag));
 }
 
-Result<int64_t> BinaryReader::ReadI64() {
-  int64_t v = 0;
-  Status st = ReadRaw(&v, sizeof(v));
-  if (!st.ok()) return st;
-  return v;
+[[gnu::cold]] Status FieldCountTooLarge(uint64_t n) {
+  return Status::OutOfRange("field count " + std::to_string(n) +
+                            " exceeds remaining buffer");
 }
 
-Result<uint64_t> BinaryReader::ReadU64() {
-  uint64_t v = 0;
-  Status st = ReadRaw(&v, sizeof(v));
-  if (!st.ok()) return st;
-  return v;
-}
+}  // namespace
 
-Result<double> BinaryReader::ReadDouble() {
-  double v = 0;
-  Status st = ReadRaw(&v, sizeof(v));
-  if (!st.ok()) return st;
-  return v;
-}
-
-Result<bool> BinaryReader::ReadBool() {
-  auto v = ReadU8();
-  if (!v.ok()) return v.status();
-  return *v != 0;
+[[gnu::cold]] Status BinaryReader::Truncated(size_t need) const {
+  return Status::OutOfRange("truncated buffer: need " + std::to_string(need) +
+                            " bytes, have " + std::to_string(remaining()));
 }
 
 Result<std::string> BinaryReader::ReadString() {
-  auto len = ReadU64();
-  if (!len.ok()) return len.status();
-  if (pos_ + *len > data_.size()) {
-    return Status::OutOfRange("truncated string of length " +
-                              std::to_string(*len));
-  }
-  std::string s(data_.substr(pos_, *len));
-  pos_ += *len;
+  uint64_t len = 0;
+  if (!Take(&len)) return Truncated(sizeof(len));
+  if (len > remaining()) return TruncatedString(len);
+  std::string s(data_.substr(pos_, len));
+  pos_ += len;
   return s;
 }
 
-Result<Value> BinaryReader::ReadValue() {
-  auto tag = ReadU8();
-  if (!tag.ok()) return tag.status();
-  switch (static_cast<DataType>(*tag)) {
+Status BinaryReader::ReadValueInto(Value* out) {
+  uint8_t tag = 0;
+  if (!Take(&tag)) return Truncated(sizeof(tag));
+  switch (static_cast<DataType>(tag)) {
     case DataType::kNull:
-      return Value::Null();
+      *out = Value();
+      return Status::Ok();
     case DataType::kInt64: {
-      auto v = ReadI64();
-      if (!v.ok()) return v.status();
-      return Value(*v);
+      int64_t v = 0;
+      if (!Take(&v)) return Truncated(sizeof(v));
+      *out = Value(v);
+      return Status::Ok();
     }
     case DataType::kDouble: {
-      auto v = ReadDouble();
-      if (!v.ok()) return v.status();
-      return Value(*v);
+      double v = 0;
+      if (!Take(&v)) return Truncated(sizeof(v));
+      *out = Value(v);
+      return Status::Ok();
     }
     case DataType::kBool: {
-      auto v = ReadBool();
-      if (!v.ok()) return v.status();
-      return Value(*v);
+      uint8_t v = 0;
+      if (!Take(&v)) return Truncated(sizeof(v));
+      *out = Value(v != 0);
+      return Status::Ok();
     }
     case DataType::kString: {
       auto v = ReadString();
       if (!v.ok()) return v.status();
-      return Value(std::move(*v));
+      *out = Value(std::move(*v));
+      return Status::Ok();
     }
   }
-  return Status::Internal("unknown Value tag " + std::to_string(*tag));
+  return UnknownTag(tag);
+}
+
+Status BinaryReader::ReadRecordInto(Record* out) {
+  uint64_t n = 0;
+  if (!Take(&out->timestamp)) return Truncated(sizeof(out->timestamp));
+  if (!Take(&out->key_hash)) return Truncated(sizeof(out->key_hash));
+  if (!Take(&n)) return Truncated(sizeof(n));
+  // Every field needs at least one tag byte: a count beyond the remaining
+  // buffer is corrupt input, not a reason to attempt a huge allocation.
+  if (n > remaining()) return FieldCountTooLarge(n);
+  out->fields.resize(n);
+  for (Value& v : out->fields) STREAMLINE_RETURN_IF_ERROR(ReadValueInto(&v));
+  return Status::Ok();
+}
+
+Result<Value> BinaryReader::ReadValue() {
+  Value v;
+  STREAMLINE_RETURN_IF_ERROR(ReadValueInto(&v));
+  return v;
 }
 
 Result<Record> BinaryReader::ReadRecord() {
-  auto ts = ReadI64();
-  if (!ts.ok()) return ts.status();
-  auto kh = ReadU64();
-  if (!kh.ok()) return kh.status();
-  auto n = ReadU64();
-  if (!n.ok()) return n.status();
-  // Every field needs at least one tag byte: a count beyond the remaining
-  // buffer is corrupt input, not a reason to attempt a huge allocation.
-  if (*n > remaining()) {
-    return Status::OutOfRange("field count " + std::to_string(*n) +
-                              " exceeds remaining buffer");
-  }
   Record r;
-  r.timestamp = *ts;
-  r.key_hash = *kh;
-  r.fields.reserve(*n);
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto v = ReadValue();
-    if (!v.ok()) return v.status();
-    r.fields.push_back(std::move(*v));
-  }
+  STREAMLINE_RETURN_IF_ERROR(ReadRecordInto(&r));
   return r;
 }
 

@@ -45,24 +45,59 @@ class BinaryWriter {
 /// Sequential reader over a buffer produced by BinaryWriter. All Read*
 /// methods return OutOfRange on truncated input instead of crashing, so a
 /// corrupted snapshot surfaces as a recoverable error.
+///
+/// One pass, no per-scalar Status: every fixed-width value goes through
+/// the inline Take, and an error text is built (out of line) only when a
+/// read fails. Values and records decode straight into caller-owned
+/// storage (ReadValueInto / ReadRecordInto); ReadValue and ReadRecord are
+/// wrappers over them.
 class BinaryReader {
  public:
   explicit BinaryReader(std::string_view data) : data_(data) {}
 
-  Result<uint8_t> ReadU8();
-  Result<int64_t> ReadI64();
-  Result<uint64_t> ReadU64();
-  Result<double> ReadDouble();
-  Result<bool> ReadBool();
+  Result<uint8_t> ReadU8() { return ReadScalar<uint8_t>(); }
+  Result<int64_t> ReadI64() { return ReadScalar<int64_t>(); }
+  Result<uint64_t> ReadU64() { return ReadScalar<uint64_t>(); }
+  Result<double> ReadDouble() { return ReadScalar<double>(); }
+  Result<bool> ReadBool() {
+    uint8_t v = 0;
+    if (!Take(&v)) return Truncated(sizeof(v));
+    return v != 0;
+  }
   Result<std::string> ReadString();
   Result<Value> ReadValue();
   Result<Record> ReadRecord();
+
+  /// Decodes one value into `*out`. On error `*out` is left valid but
+  /// unspecified.
+  Status ReadValueInto(Value* out);
+  /// Decodes one record into `*out`, reusing its field storage. On error
+  /// `*out` is left valid but unspecified.
+  Status ReadRecordInto(Record* out);
 
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t remaining() const { return data_.size() - pos_; }
 
  private:
-  Status ReadRaw(void* out, size_t len);
+  /// The one bounds-checked read: copies the next sizeof(T) bytes into
+  /// `*out` (memcpy, so any offset is fine) and advances. On short input
+  /// returns false and moves nothing.
+  template <typename T>
+  bool Take(T* out) {
+    if (sizeof(T) > remaining()) return false;
+    std::memcpy(out, data_.data() + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return true;
+  }
+  template <typename T>
+  Result<T> ReadScalar() {
+    T v{};
+    if (!Take(&v)) return Truncated(sizeof(T));
+    return v;
+  }
+  /// OutOfRange "truncated buffer: need `need` bytes, have ...".
+  Status Truncated(size_t need) const;
+
   std::string_view data_;
   size_t pos_ = 0;
 };

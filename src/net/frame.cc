@@ -23,42 +23,55 @@ uint32_t GetU32(const char* src) {
          static_cast<uint32_t>(static_cast<unsigned char>(src[3])) << 24;
 }
 
+// Writes the `[u32 len][u32 crc]` header of `payload` to `dst`.
+void PutHeader(char* dst, std::string_view payload) {
+  PutU32(dst, static_cast<uint32_t>(payload.size()));
+  PutU32(dst + 4, Crc32(payload));
+}
+
+// A frame is encoded in one buffer: the header bytes are reserved up front
+// and filled in by SealFrame once the payload behind them is complete, so
+// no payload is copied a second time.
+BinaryWriter BeginFrame(uint8_t msg_type) {
+  BinaryWriter w;
+  w.WriteU64(0);  // [u32 len][u32 crc], filled by SealFrame
+  w.WriteU8(msg_type);
+  return w;
+}
+
+std::string SealFrame(BinaryWriter* w) {
+  std::string framed = w->Release();
+  const std::string_view payload =
+      std::string_view(framed).substr(kFrameHeaderBytes);
+  PutHeader(framed.data(), payload);
+  return framed;
+}
+
 }  // namespace
 
 void AppendFrame(std::string* out, std::string_view payload) {
   char header[kFrameHeaderBytes];
-  PutU32(header, static_cast<uint32_t>(payload.size()));
-  PutU32(header + 4, Crc32(payload));
+  PutHeader(header, payload);
   out->append(header, kFrameHeaderBytes);
   out->append(payload.data(), payload.size());
 }
 
 std::string EncodeDataBatch(const Record* records, size_t n) {
-  BinaryWriter w;
-  w.WriteU8(kMsgData);
+  BinaryWriter w = BeginFrame(kMsgData);
   w.WriteU64(n);
   for (size_t i = 0; i < n; ++i) w.WriteRecord(records[i]);
-  std::string framed;
-  framed.reserve(kFrameHeaderBytes + w.size());
-  AppendFrame(&framed, w.buffer());
-  return framed;
+  return SealFrame(&w);
 }
 
 std::string EncodeSubscribe(const std::string& topic) {
-  BinaryWriter w;
-  w.WriteU8(kMsgSubscribe);
+  BinaryWriter w = BeginFrame(kMsgSubscribe);
   w.WriteString(topic);
-  std::string framed;
-  AppendFrame(&framed, w.buffer());
-  return framed;
+  return SealFrame(&w);
 }
 
 std::string EncodeControl(uint8_t msg_type) {
-  BinaryWriter w;
-  w.WriteU8(msg_type);
-  std::string framed;
-  AppendFrame(&framed, w.buffer());
-  return framed;
+  BinaryWriter w = BeginFrame(msg_type);
+  return SealFrame(&w);
 }
 
 Status DecodeDataBatch(std::string_view payload, std::vector<Record>* out) {
@@ -82,12 +95,12 @@ Status DecodeDataBatch(std::string_view payload, std::vector<Record>* out) {
   const size_t base = out->size();
   out->reserve(base + static_cast<size_t>(*count));
   for (uint64_t i = 0; i < *count; ++i) {
-    auto rec = r.ReadRecord();
-    if (!rec.ok()) {
+    // Decoded in place: the record is built once, in the batch.
+    Status st = r.ReadRecordInto(&out->emplace_back());
+    if (!st.ok()) {
       out->resize(base);  // fail closed: all-or-nothing per frame
-      return rec.status();
+      return st;
     }
-    out->push_back(std::move(*rec));
   }
   if (!r.AtEnd()) {
     out->resize(base);

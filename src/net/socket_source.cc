@@ -69,8 +69,12 @@ void SocketIngest::OnAccept() {
     const int fd = accepted->get();
     conns_.emplace(fd, std::make_unique<Conn>(std::move(*accepted),
                                               options_.max_frame_bytes));
-    saw_conn_.store(true, std::memory_order_release);
+    // Count the connection before announcing it: Finished() reads
+    // saw_conn_ first, and must not see it set while open_conns_ is
+    // still 0, or a consumer polling at that instant ends the stream
+    // before its first record.
     open_conns_.fetch_add(1, std::memory_order_acq_rel);
+    saw_conn_.store(true, std::memory_order_release);
     stat_connections_.fetch_add(1, std::memory_order_relaxed);
     if (!loop_->Add(fd, EPOLLIN, [this, fd](uint32_t) { OnReadable(fd); })
              .ok()) {

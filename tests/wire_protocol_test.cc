@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -283,6 +285,258 @@ TEST(WireProtocolTest, GarbageBytesPoisonInsteadOfLoopingOrOverreading) {
     }
   }
   EXPECT_TRUE(poisoned || dec.buffered_bytes() > 0);
+}
+
+// ---------------------------------------------------------------------------
+// Differential decoding: DecodeDataBatch and BinaryReader::ReadRecord
+// against a plain parser of the documented wire format, over every strict
+// prefix and every single-byte corruption of one payload.
+
+/// Bit-exact record comparison: operator== ignores key_hash and treats
+/// doubles numerically (-0.0 == 0.0, NaN != NaN); the wire must preserve
+/// every bit.
+::testing::AssertionResult SameBits(const Record& a, const Record& b) {
+  if (a.timestamp != b.timestamp || a.key_hash != b.key_hash ||
+      a.fields.size() != b.fields.size()) {
+    return ::testing::AssertionFailure()
+           << "header differs: " << a.ToString() << " vs " << b.ToString();
+  }
+  for (size_t i = 0; i < a.fields.size(); ++i) {
+    const Value& x = a.fields[i];
+    const Value& y = b.fields[i];
+    bool same = x.type() == y.type();
+    if (same && x.type() == DataType::kDouble) {
+      const double dx = x.AsDouble();
+      const double dy = y.AsDouble();
+      same = std::memcmp(&dx, &dy, sizeof(double)) == 0;
+    } else if (same) {
+      same = x == y;
+    }
+    if (!same) {
+      return ::testing::AssertionFailure()
+             << "field " << i << " differs: " << a.ToString() << " vs "
+             << b.ToString();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult SameBits(const std::vector<Record>& a,
+                                    const std::vector<Record>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << a.size() << " records vs " << b.size();
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    auto same = SameBits(a[i], b[i]);
+    if (!same) return same << " (record " << i << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Reference parser of the kMsgData payload, written from the format
+/// comments alone: little-endian fixed-width integers, a value is a type
+/// tag byte plus its payload, a string is a u64 length plus its bytes.
+/// Returns the StatusCode the decoder's contract assigns to each failure.
+class RefParser {
+ public:
+  explicit RefParser(std::string_view bytes) : b_(bytes) {}
+
+  StatusCode Batch(std::vector<Record>* out) {
+    uint64_t type = 0;
+    uint64_t count = 0;
+    if (!Fixed(1, &type)) return StatusCode::kOutOfRange;
+    if (type != kMsgData) return StatusCode::kInvalidArgument;
+    if (!Fixed(8, &count)) return StatusCode::kOutOfRange;
+    // 17 bytes is the smallest record; a larger count is rejected before
+    // anything is decoded.
+    if (count > b_.size() / 17 + 1) return StatusCode::kInvalidArgument;
+    for (uint64_t i = 0; i < count; ++i) {
+      Record r;
+      const StatusCode code = Rec(&r);
+      if (code != StatusCode::kOk) return code;
+      out->push_back(std::move(r));
+    }
+    return at_ == b_.size() ? StatusCode::kOk : StatusCode::kInvalidArgument;
+  }
+
+  StatusCode Rec(Record* r) {
+    uint64_t ts = 0;
+    uint64_t n = 0;
+    if (!Fixed(8, &ts) || !Fixed(8, &r->key_hash) || !Fixed(8, &n)) {
+      return StatusCode::kOutOfRange;
+    }
+    r->timestamp = static_cast<Timestamp>(ts);
+    if (n > b_.size() - at_) return StatusCode::kOutOfRange;
+    for (uint64_t i = 0; i < n; ++i) {
+      uint64_t tag = 0;
+      uint64_t bits = 0;
+      if (!Fixed(1, &tag)) return StatusCode::kOutOfRange;
+      switch (tag) {
+        case 0:
+          r->fields.push_back(Value());
+          break;
+        case 1:
+          if (!Fixed(8, &bits)) return StatusCode::kOutOfRange;
+          r->fields.push_back(Value(static_cast<int64_t>(bits)));
+          break;
+        case 2: {
+          if (!Fixed(8, &bits)) return StatusCode::kOutOfRange;
+          double d = 0;
+          std::memcpy(&d, &bits, sizeof(d));
+          r->fields.push_back(Value(d));
+          break;
+        }
+        case 3:
+          if (!Fixed(1, &bits)) return StatusCode::kOutOfRange;
+          r->fields.push_back(Value(bits != 0));
+          break;
+        case 4:
+          if (!Fixed(8, &bits)) return StatusCode::kOutOfRange;
+          if (bits > b_.size() - at_) return StatusCode::kOutOfRange;
+          r->fields.push_back(Value(std::string(b_.substr(at_, bits))));
+          at_ += bits;
+          break;
+        default:
+          return StatusCode::kInternal;
+      }
+    }
+    return StatusCode::kOk;
+  }
+
+  bool AtEnd() const { return at_ == b_.size(); }
+
+ private:
+  bool Fixed(size_t width, uint64_t* v) {
+    if (b_.size() - at_ < width) return false;
+    *v = 0;
+    for (size_t i = 0; i < width; ++i) {
+      *v |= uint64_t{static_cast<unsigned char>(b_[at_ + i])} << (8 * i);
+    }
+    at_ += width;
+    return true;
+  }
+
+  std::string_view b_;
+  size_t at_ = 0;
+};
+
+/// Records covering every value type and encoding edge: > 4 fields (heap
+/// FieldVec), empty and long strings, -0.0, a NaN payload, extreme
+/// integers, zero and non-zero key hashes, an empty row.
+std::vector<Record> EdgeCorpus() {
+  double nan = 0;
+  const uint64_t nan_bits = 0x7ff8'0000'dead'beefULL;
+  std::memcpy(&nan, &nan_bits, sizeof(nan));
+  std::string long_str(300, 'x');
+  long_str[7] = '\0';
+  std::vector<Record> recs;
+  recs.push_back(MakeRecord(0, Value(), Value(int64_t{-1}), Value(-0.0),
+                            Value(true), Value(std::string())));
+  recs.push_back(MakeRecord(
+      std::numeric_limits<int64_t>::min(), Value(long_str), Value(nan),
+      Value(std::numeric_limits<int64_t>::max()), Value(false), Value(),
+      Value(1.5), Value("k")));
+  recs.back().key_hash = 0x9e37'79b9'7f4a'7c15ULL;
+  recs.push_back(MakeRecord(42));
+  recs.back().key_hash = 1;
+  recs.push_back(MakeRecord(-7, Value(int64_t{17}), Value(int64_t{2})));
+  recs.back().key_hash = ~uint64_t{0};
+  return recs;
+}
+
+/// Decodes `bytes` with DecodeDataBatch over a vector holding `prior` and
+/// with the reference parser; the two must agree on the outcome, and a
+/// failure must leave the vector exactly as it was.
+void ExpectBatchDecodeAgrees(std::string_view bytes,
+                             const std::vector<Record>& prior,
+                             const std::string& what) {
+  std::vector<Record> want;
+  const StatusCode want_code = RefParser(bytes).Batch(&want);
+  std::vector<Record> out = prior;
+  const Status st = DecodeDataBatch(bytes, &out);
+  ASSERT_EQ(st.code(), want_code) << what << ": " << st.ToString();
+  std::vector<Record> expect = prior;
+  if (st.ok()) {
+    for (Record& r : want) expect.push_back(std::move(r));
+  }
+  EXPECT_TRUE(SameBits(out, expect)) << what;
+}
+
+/// Reads records with BinaryReader::ReadRecord from `bytes` (after the
+/// 9-byte batch header) until the end or the first error; the reference
+/// parser, stepping over the same bytes, must agree at every step.
+void ExpectReadRecordAgrees(std::string_view bytes, const std::string& what) {
+  if (bytes.size() < 9) return;
+  const std::string_view body = bytes.substr(9);
+  BinaryReader reader(body);
+  RefParser ref(body);
+  while (!reader.AtEnd()) {
+    Record want;
+    const StatusCode want_code = ref.Rec(&want);
+    auto got = reader.ReadRecord();
+    ASSERT_EQ(got.status().code(), want_code)
+        << what << ": " << got.status().ToString();
+    if (!got.ok()) return;
+    ASSERT_TRUE(SameBits(*got, want)) << what;
+    ASSERT_EQ(reader.AtEnd(), ref.AtEnd()) << what;
+  }
+}
+
+TEST(WireProtocolTest, DecodeMatchesReferenceParserOnEveryPrefixAndFlip) {
+  const std::vector<Record> corpus = EdgeCorpus();
+  const std::string framed = EncodeDataBatch(corpus.data(), corpus.size());
+  const std::string payload = framed.substr(kFrameHeaderBytes);
+
+  // The intact payload decodes to the corpus, bit for bit.
+  std::vector<Record> whole;
+  ASSERT_TRUE(DecodeDataBatch(payload, &whole).ok());
+  EXPECT_TRUE(SameBits(whole, corpus));
+  ExpectBatchDecodeAgrees(payload, {}, "intact");
+  ExpectReadRecordAgrees(payload, "intact");
+
+  // A recycled vector with content (a heap-spilled row among them) that a
+  // failed decode must not disturb.
+  std::vector<Record> prior = {corpus[1], corpus[3]};
+  for (size_t len = 0; len < payload.size(); ++len) {
+    const std::string what = "prefix " + std::to_string(len);
+    const std::string_view cut = std::string_view(payload).substr(0, len);
+    ExpectBatchDecodeAgrees(cut, prior, what);
+    ExpectReadRecordAgrees(cut, what);
+  }
+  for (size_t pos = 0; pos < payload.size(); ++pos) {
+    const std::string what = "xor 0xFF at byte " + std::to_string(pos);
+    std::string bent = payload;
+    bent[pos] = static_cast<char>(bent[pos] ^ 0xFF);
+    ExpectBatchDecodeAgrees(bent, prior, what);
+    ExpectReadRecordAgrees(bent, what);
+  }
+}
+
+TEST(WireProtocolTest, EncodedFramesMatchAppendFrameOverTheirPayload) {
+  // Frames are encoded in one buffer with the header filled in last; the
+  // bytes must be exactly a header built over the finished payload.
+  const std::vector<Record> corpus = EdgeCorpus();
+  for (size_t n = 0; n <= corpus.size(); ++n) {
+    BinaryWriter w;
+    w.WriteU8(kMsgData);
+    w.WriteU64(n);
+    for (size_t i = 0; i < n; ++i) w.WriteRecord(corpus[i]);
+    std::string want;
+    AppendFrame(&want, w.buffer());
+    EXPECT_EQ(EncodeDataBatch(corpus.data(), n), want) << n << " records";
+  }
+  BinaryWriter sub;
+  sub.WriteU8(kMsgSubscribe);
+  sub.WriteString("pixels/m4");
+  std::string want;
+  AppendFrame(&want, sub.buffer());
+  EXPECT_EQ(EncodeSubscribe("pixels/m4"), want);
+  for (uint8_t type : {kMsgSnapshotBegin, kMsgSnapshotEnd}) {
+    want.clear();
+    AppendFrame(&want, std::string(1, static_cast<char>(type)));
+    EXPECT_EQ(EncodeControl(type), want);
+  }
 }
 
 }  // namespace
